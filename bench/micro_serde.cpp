@@ -60,8 +60,8 @@ void BM_KvStreamRead(benchmark::State& state) {
   const Buffer buf = std::move(w).Finish();
   for (auto _ : state) {
     KvReader<uint32_t, double> r(buf);
-    uint32_t k;
-    double v;
+    uint32_t k = 0;
+    double v = 0.0;
     uint64_t sum = 0;
     while (r.Next(k, v)) sum += k;
     benchmark::DoNotOptimize(sum);

@@ -3,9 +3,11 @@
 // accumulators used to pre-combine map emissions efficiently.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "async/async_engine.hpp"
@@ -35,6 +37,40 @@ struct PartitionView {
 
   static PartitionView Build(const graph::Digraph& g, const graph::Partitioning& p);
 };
+
+/// Number of distinct targets in a target-sorted boundary edge group of
+/// (target, source local index) pairs: the length of a per-target array
+/// indexed by target ordinal (see ForEachBoundaryTargetSum).
+inline size_t CountBoundaryTargets(
+    const std::vector<std::pair<graph::VertexId, uint32_t>>& edges) {
+  size_t count = 0;
+  for (size_t e = 0; e < edges.size(); ++e) {
+    if (e == 0 || edges[e].first != edges[e - 1].first) ++count;
+  }
+  return count;
+}
+
+/// Folds one target-sorted boundary edge group into per-target sums: calls
+/// sink(ordinal, target, sum of contrib(source local index)) once per
+/// distinct target, in ascending target order, where ordinal counts the
+/// distinct targets seen so far (0-based) and indexes a sender's per-target
+/// delta filter. Seeding and the per-iteration push must group and sum
+/// identically or the senders' delta filters desynchronize from the
+/// receivers' state.
+template <typename ContribFn, typename SinkFn>
+void ForEachBoundaryTargetSum(
+    const std::vector<std::pair<graph::VertexId, uint32_t>>& edges,
+    ContribFn contrib, SinkFn sink) {
+  size_t ordinal = 0;
+  for (size_t e = 0; e < edges.size(); ++ordinal) {
+    const graph::VertexId t = edges[e].first;
+    double sum = 0.0;
+    for (; e < edges.size() && edges[e].first == t; ++e) {
+      sum += contrib(edges[e].second);
+    }
+    sink(ordinal, t, sum);
+  }
+}
 
 /// Dense accumulator for pre-combining (target, double) contributions inside
 /// one map task without hashing: O(edges + touched) per use, reusable across

@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "apps/app_common.hpp"
 #include "core/partial_sync_job.hpp"
@@ -332,7 +331,6 @@ namespace {
 /// Per-partition worker state for the asynchronous engine.
 struct AsyncJacPartition {
   std::vector<graph::VertexId> members;
-  std::unordered_map<graph::VertexId, uint32_t> local_index;
   // Internal adjacency in local indices (the diagonal block of A).
   std::vector<std::vector<uint32_t>> internal_targets;
   std::vector<double> inv_diag;  // per member: 1 / (full sym degree + 1)
@@ -348,8 +346,9 @@ struct AsyncJacPartition {
   std::vector<double> x;    // per member
   std::vector<double> ext;  // per member: summed external boundary rows
   async::StateStore<double> store;  // latest row sum per (sender, vertex)
-  // Delta filter per boundary group: last value pushed for each target.
-  std::vector<std::unordered_map<graph::VertexId, double>> last_sent;
+  // Delta filter per boundary group: last value pushed for each target,
+  // indexed by the target's ordinal in the group.
+  std::vector<std::vector<double>> last_sent;
 };
 
 }  // namespace
@@ -372,13 +371,17 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
 
   std::vector<AsyncJacPartition> parts(num_parts);
   std::vector<std::vector<uint32_t>> in_peers(num_parts);
+  // Vertex -> index within its own partition; partitions are disjoint, so
+  // one array serves all of them.
+  std::vector<uint32_t> local_of(n);
+  for (uint32_t p = 0; p < num_parts; ++p) {
+    for (uint32_t i = 0; i < members[p].size(); ++i) local_of[members[p][i]] = i;
+  }
 
   for (uint32_t p = 0; p < num_parts; ++p) {
     AsyncJacPartition& part = parts[p];
     part.members = members[p];
     const uint32_t m = static_cast<uint32_t>(part.members.size());
-    part.local_index.reserve(m * 2);
-    for (uint32_t i = 0; i < m; ++i) part.local_index.emplace(part.members[i], i);
     part.internal_targets.resize(m);
     part.inv_diag.resize(m);
     part.x.assign(m, 0.0);
@@ -391,7 +394,7 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
       for (graph::VertexId t : g_sym.OutNeighbors(u)) {
         const uint32_t q = partitioning.part_of[t];
         if (q == p) {
-          part.internal_targets[i].push_back(part.local_index.at(t));
+          part.internal_targets[i].push_back(local_of[t]);
           ++part.internal_edges;
         } else {
           boundary[q].emplace_back(t, i);
@@ -400,13 +403,13 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
     }
     for (auto& [q, edges] : boundary) {
       std::sort(edges.begin(), edges.end());
+      part.last_sent.emplace_back(CountBoundaryTargets(edges), 0.0);
       part.boundary.push_back({q, std::move(edges)});
       in_peers[q].push_back(p);
     }
-    part.last_sent.resize(part.boundary.size());
   }
   // x starts at all zeros, so every boundary row sum — and thus every ext —
-  // starts at 0.0 too; the senders' empty delta filters already agree with
+  // starts at 0.0 too; the senders' zeroed delta filters already agree with
   // the receivers' views and no seeding pass is needed.
   for (uint32_t p = 0; p < num_parts; ++p) {
     parts[p].store = async::StateStore<double>(in_peers[p]);
@@ -427,10 +430,8 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   // could stay silent within send_eps while the peer holds a stale
   // dead-epoch value).
   auto force_resend = [](AsyncJacPartition& part, size_t bg) {
-    constexpr double kResend = std::numeric_limits<double>::infinity();
-    for (const auto& [target, source] : part.boundary[bg].edges) {
-      part.last_sent[bg][target] = kResend;
-    }
+    std::fill(part.last_sent[bg].begin(), part.last_sent[bg].end(),
+              std::numeric_limits<double>::infinity());
   };
 
   engine.set_out_peers([&](uint32_t p) {
@@ -475,18 +476,15 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
     // Push refreshed boundary row sums, delta-filtered.
     for (size_t b_idx = 0; b_idx < part.boundary.size(); ++b_idx) {
       const auto& group = part.boundary[b_idx];
-      for (size_t e = 0; e < group.edges.size();) {
-        const graph::VertexId t = group.edges[e].first;
-        double sum = 0.0;
-        for (; e < group.edges.size() && group.edges[e].first == t; ++e) {
-          sum += part.x[group.edges[e].second];
-        }
-        double& sent = part.last_sent[b_idx][t];
-        if (std::abs(sum - sent) > send_eps) {
-          ctx.Emit(group.peer, JacBoundaryUpdate{t, sum});
-          sent = sum;
-        }
-      }
+      ForEachBoundaryTargetSum(
+          group.edges, [&](uint32_t i) { return part.x[i]; },
+          [&](size_t k, graph::VertexId t, double sum) {
+            double& sent = part.last_sent[b_idx][k];
+            if (std::abs(sum - sent) > send_eps) {
+              ctx.Emit(group.peer, JacBoundaryUpdate{t, sum});
+              sent = sum;
+            }
+          });
       ops += group.edges.size();
     }
     ctx.AddOps(ops);
@@ -499,7 +497,7 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
     async::ForEachUpdate<JacBoundaryUpdate>(batch, [&](const JacBoundaryUpdate& u) {
       const auto put = part.store.Put(from, u.vertex, u.sum, from_clock, from_epoch);
       if (!put.applied) return;  // out-of-order stale delivery
-      part.ext[part.local_index.at(u.vertex)] += u.sum - put.replaced.value_or(0.0);
+      part.ext[local_of[u.vertex]] += u.sum - put.replaced.value_or(0.0);
     });
   });
 

@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "apps/app_common.hpp"
 #include "core/partial_sync_job.hpp"
@@ -353,7 +352,6 @@ namespace {
 /// Per-partition worker state for the asynchronous engine.
 struct AsyncPrPartition {
   std::vector<graph::VertexId> members;
-  std::unordered_map<graph::VertexId, uint32_t> local_index;
   // Internal adjacency in local indices (paper: the partition's sub-graph).
   std::vector<std::vector<uint32_t>> internal_targets;
   std::vector<double> inv_outdeg;  // per member
@@ -369,28 +367,12 @@ struct AsyncPrPartition {
   std::vector<double> ranks;  // per member
   std::vector<double> ext;    // per member: summed external contributions
   async::StateStore<double> store;  // latest contribution per (sender, vertex)
-  // Delta filter per boundary group: last value pushed for each target.
-  std::vector<std::unordered_map<graph::VertexId, double>> last_sent;
+  // Delta filter per boundary group: last value pushed for each target,
+  // indexed by the target's ordinal in the group.
+  std::vector<std::vector<double>> last_sent;
+  // Per-iteration scratch for the block solve, reused across iterations.
+  std::vector<double> before, acc, next;
 };
-
-/// Folds one target-sorted boundary edge group into per-target contribution
-/// sums: calls sink(target, sum of contrib(source local index)) once per
-/// distinct target. Seeding and the per-iteration push must group and sum
-/// identically or the senders' delta filters desynchronize from the
-/// receivers' state.
-template <typename ContribFn, typename SinkFn>
-void ForEachBoundaryTargetSum(
-    const std::vector<std::pair<graph::VertexId, uint32_t>>& edges,
-    ContribFn contrib, SinkFn sink) {
-  for (size_t e = 0; e < edges.size();) {
-    const graph::VertexId t = edges[e].first;
-    double sum = 0.0;
-    for (; e < edges.size() && edges[e].first == t; ++e) {
-      sum += contrib(edges[e].second);
-    }
-    sink(t, sum);
-  }
-}
 
 }  // namespace
 
@@ -411,17 +393,24 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
 
   std::vector<AsyncPrPartition> parts(num_parts);
   std::vector<std::vector<uint32_t>> in_peers(num_parts);
+  // Vertex -> index within its own partition; partitions are disjoint, so
+  // one array serves all of them.
+  std::vector<uint32_t> local_of(n);
+  for (uint32_t p = 0; p < num_parts; ++p) {
+    for (uint32_t i = 0; i < members[p].size(); ++i) local_of[members[p][i]] = i;
+  }
 
   for (uint32_t p = 0; p < num_parts; ++p) {
     AsyncPrPartition& part = parts[p];
     part.members = members[p];
     const uint32_t m = static_cast<uint32_t>(part.members.size());
-    part.local_index.reserve(m * 2);
-    for (uint32_t i = 0; i < m; ++i) part.local_index.emplace(part.members[i], i);
     part.internal_targets.resize(m);
     part.inv_outdeg.resize(m);
     part.ranks.assign(m, 1.0);
     part.ext.assign(m, 0.0);
+    part.before.resize(m);
+    part.acc.resize(m);
+    part.next.resize(m);
 
     std::map<uint32_t, std::vector<std::pair<graph::VertexId, uint32_t>>> boundary;
     for (uint32_t i = 0; i < m; ++i) {
@@ -431,7 +420,7 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
       for (graph::VertexId t : g.OutNeighbors(u)) {
         const uint32_t q = partitioning.part_of[t];
         if (q == p) {
-          part.internal_targets[i].push_back(part.local_index.at(t));
+          part.internal_targets[i].push_back(local_of[t]);
           ++part.internal_edges;
         } else {
           boundary[q].emplace_back(t, i);
@@ -440,10 +429,10 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
     }
     for (auto& [q, edges] : boundary) {
       std::sort(edges.begin(), edges.end());
+      part.last_sent.emplace_back(CountBoundaryTargets(edges));
       part.boundary.push_back({q, std::move(edges)});
       in_peers[q].push_back(p);
     }
-    part.last_sent.resize(part.boundary.size());
   }
 
   // Seed external contributions from the initial all-ones ranks so iteration
@@ -459,10 +448,10 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
       ForEachBoundaryTargetSum(
           part.boundary[b].edges,
           [&](uint32_t i) { return part.inv_outdeg[i]; },  // rank 1.0
-          [&](graph::VertexId t, double sum) {
-            part.last_sent[b].emplace(t, sum);
+          [&](size_t k, graph::VertexId t, double sum) {
+            part.last_sent[b][k] = sum;
             peer.store.Put(p, t, sum, /*clock=*/0);
-            peer.ext[peer.local_index.at(t)] += sum;
+            peer.ext[local_of[t]] += sum;
           });
     }
   }
@@ -482,10 +471,8 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   // sum whose current value sits within send_eps of zero would stay silent
   // while the peer holds a stale dead-epoch value for it).
   auto force_resend = [](AsyncPrPartition& part, size_t b) {
-    constexpr double kResend = std::numeric_limits<double>::infinity();
-    for (const auto& [target, source] : part.boundary[b].edges) {
-      part.last_sent[b][target] = kResend;
-    }
+    std::fill(part.last_sent[b].begin(), part.last_sent[b].end(),
+              std::numeric_limits<double>::infinity());
   };
 
   engine.set_out_peers([&](uint32_t p) {
@@ -498,13 +485,14 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
     AsyncPrPartition& part = parts[p];
     const uint32_t m = static_cast<uint32_t>(part.members.size());
     if (m == 0) return;
-    const std::vector<double> before = part.ranks;
+    std::vector<double>& before = part.before;
+    std::vector<double>& acc = part.acc;
+    std::vector<double>& next = part.next;
+    before = part.ranks;
     uint64_t ops = 0;
 
     // Block solve to local convergence with external contributions frozen
     // (the paper's lmap/lreduce loop, computed directly).
-    std::vector<double> acc(m);
-    std::vector<double> next(m);
     for (uint32_t sweep = 0; sweep < config.max_local_iterations; ++sweep) {
       std::fill(acc.begin(), acc.end(), 0.0);
       for (uint32_t i = 0; i < m; ++i) {
@@ -532,8 +520,8 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
       ForEachBoundaryTargetSum(
           part.boundary[b].edges,
           [&](uint32_t i) { return part.ranks[i] * part.inv_outdeg[i]; },
-          [&](graph::VertexId t, double sum) {
-            double& sent = part.last_sent[b][t];
+          [&](size_t k, graph::VertexId t, double sum) {
+            double& sent = part.last_sent[b][k];
             if (std::abs(sum - sent) > send_eps) {
               ctx.Emit(part.boundary[b].peer, PrBoundaryUpdate{t, sum});
               sent = sum;
@@ -552,7 +540,7 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
       const auto put =
           part.store.Put(from, u.vertex, u.contribution, from_clock, from_epoch);
       if (!put.applied) return;  // out-of-order stale delivery
-      part.ext[part.local_index.at(u.vertex)] +=
+      part.ext[local_of[u.vertex]] +=
           u.contribution - put.replaced.value_or(0.0);
     });
   });

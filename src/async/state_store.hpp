@@ -14,6 +14,14 @@
 //    late stale record must be rejected, or it would overwrite the fresher
 //    value and the sender's delta filter would never repair it.
 //
+// Each per-peer view is a sorted flat map: a strictly ascending key vector
+// plus a parallel entry vector. Put() is one binary search, inserting at the
+// sorted position on a key's first arrival (boundary keys first arrive
+// mostly in ascending order, so that insert is usually an append). The
+// layout is also the checkpoint order: SnapshotTo() walks each view
+// linearly, so its byte image depends only on the stored entries, and
+// RestoreFrom() rejects an image whose keys are not strictly ascending.
+//
 // Both carry an *epoch* alongside the clock for checkpoint/replay fault
 // tolerance: a worker that crashes restarts from its last checkpoint with a
 // bumped epoch and an iteration clock that rolled BACK, so its re-sent
@@ -38,7 +46,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -191,6 +198,37 @@ class StateStore {
     uint32_t epoch = 0;  // sender incarnation (bumped per restart)
   };
 
+  /// One peer's entries as a sorted flat map: strictly ascending keys and a
+  /// parallel entry vector. Iterate keys() and entries() together.
+  class View {
+   public:
+    size_t size() const { return keys_.size(); }
+    size_t count(Key key) const { return Find(key) < size() ? 1 : 0; }
+    const Entry& at(Key key) const {
+      const size_t i = Find(key);
+      AMR_CHECK(i < size()) << "no state-store entry for key " << key;
+      return entries_[i];
+    }
+    const std::vector<Key>& keys() const { return keys_; }
+    const std::vector<Entry>& entries() const { return entries_; }
+
+   private:
+    friend class StateStore;
+
+    size_t LowerBound(Key key) const {
+      return static_cast<size_t>(
+          std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+    }
+    /// Position of `key`, or size() when absent.
+    size_t Find(Key key) const {
+      const size_t i = LowerBound(key);
+      return i < size() && keys_[i] == key ? i : size();
+    }
+
+    std::vector<Key> keys_;
+    std::vector<Entry> entries_;  // parallel to keys_
+  };
+
   /// Outcome of a Put: whether the write took effect (false = rejected as a
   /// stale out-of-order delivery) and, when it replaced an entry, the
   /// previous value — so callers can adjust incremental aggregates.
@@ -211,38 +249,42 @@ class StateStore {
   /// a lower clock (the sender restarted from a checkpoint).
   PutResult Put(uint32_t from, Key key, V value, uint32_t clock,
                 uint32_t epoch = 0) {
-    auto& view = views_[clocks_.IndexOf(from)];
+    View& view = views_[clocks_.IndexOf(from)];
     PutResult result;
-    const auto it = view.find(key);
-    if (it == view.end()) {
-      view.emplace(key, Entry{std::move(value), clock, epoch});
+    const size_t i = view.LowerBound(key);
+    if (i == view.size() || view.keys_[i] != key) {
+      view.keys_.insert(view.keys_.begin() + i, key);
+      view.entries_.insert(view.entries_.begin() + i,
+                           Entry{std::move(value), clock, epoch});
       result.applied = true;
       return result;
     }
-    if (epoch < it->second.epoch ||
-        (epoch == it->second.epoch && clock < it->second.clock)) {
+    Entry& entry = view.entries_[i];
+    if (epoch < entry.epoch || (epoch == entry.epoch && clock < entry.clock)) {
       return result;  // stale delivery (out-of-order or dead-epoch)
     }
-    AMR_IF_AUDIT(
-        AuditVersionAdvance(it->second.epoch, it->second.clock, epoch, clock);)
+    AMR_IF_AUDIT(AuditVersionAdvance(entry.epoch, entry.clock, epoch, clock);)
     result.applied = true;
-    result.replaced = std::move(it->second.value);
-    it->second.value = std::move(value);
-    it->second.clock = clock;
-    it->second.epoch = epoch;
+    result.replaced = std::move(entry.value);
+    entry.value = std::move(value);
+    entry.clock = clock;
+    entry.epoch = epoch;
     return result;
   }
 
   /// Removes every entry stored from `from`, calling fn(key, value) per
-  /// removed entry so callers can unwind incremental aggregates. Used when
-  /// `from` restarts: its stored state belongs to a dead epoch, and its
-  /// replacement re-announces from its restored checkpoint.
+  /// removed entry in ascending key order so callers can unwind incremental
+  /// aggregates. Used when `from` restarts: its stored state belongs to a
+  /// dead epoch, and its replacement re-announces from its restored
+  /// checkpoint.
   template <typename Fn>
   void DropPeer(uint32_t from, Fn&& fn) {
-    auto& view = views_[clocks_.IndexOf(from)];
-    // Unwinds commutative aggregates, so visit order is immaterial.
-    for (auto& [key, entry] : view) fn(key, entry.value);  // lint:order-insensitive
-    view.clear();
+    View& view = views_[clocks_.IndexOf(from)];
+    for (size_t i = 0; i < view.size(); ++i) {
+      fn(view.keys_[i], view.entries_[i].value);
+    }
+    view.keys_.clear();
+    view.entries_.clear();
   }
 
   void ObserveClock(uint32_t from, uint32_t clock) { clocks_.Observe(from, clock); }
@@ -253,9 +295,7 @@ class StateStore {
 
   const ClockTable& clocks() const { return clocks_; }
 
-  const std::unordered_map<Key, Entry>& view(uint32_t from) const {
-    return views_[clocks_.IndexOf(from)];
-  }
+  const View& view(uint32_t from) const { return views_[clocks_.IndexOf(from)]; }
 
   size_t total_entries() const {
     size_t n = 0;
@@ -264,22 +304,15 @@ class StateStore {
   }
 
   /// Serializes the mutable state (observed clocks + every per-peer view)
-  /// into a worker checkpoint. Entries are written in sorted key order so
-  /// the byte image — and thus the charged checkpoint size — is independent
-  /// of hash-map layout. Requires Serde<V>.
+  /// into a worker checkpoint, each view in its ascending key order.
+  /// Requires Serde<V>.
   void SnapshotTo(serde::Writer& w) const {
     serde::Serde<std::vector<uint32_t>>::Write(w, clocks_.clock_values());
-    std::vector<Key> keys;
-    for (const auto& view : views_) {
+    for (const View& view : views_) {
       w.WriteVarU64(view.size());
-      keys.clear();
-      keys.reserve(view.size());
-      // Keys are sorted before any byte is written, so layout cannot leak.
-      for (const auto& [key, entry] : view) keys.push_back(key);  // lint:order-insensitive
-      std::sort(keys.begin(), keys.end());
-      for (Key key : keys) {
-        const Entry& entry = view.at(key);
-        w.WriteVarU64(key);
+      for (size_t i = 0; i < view.size(); ++i) {
+        const Entry& entry = view.entries_[i];
+        w.WriteVarU64(view.keys_[i]);
         w.WriteVarU64(entry.clock);
         w.WriteVarU64(entry.epoch);
         serde::Serde<V>::Write(w, entry.value);
@@ -288,7 +321,9 @@ class StateStore {
   }
 
   /// Restores the state written by SnapshotTo (the peer list is structural
-  /// and must already match).
+  /// and must already match). An image whose keys are not strictly
+  /// ascending within a view is rejected with DataLoss, and on any error
+  /// the store keeps its previous state.
   Status RestoreFrom(serde::Reader& r) {
     std::vector<uint32_t> clock_values;
     AMR_RETURN_IF_ERROR(
@@ -296,30 +331,36 @@ class StateStore {
     if (clock_values.size() != clocks_.peers().size()) {
       return Status::DataLoss("state-store checkpoint peer count mismatch");
     }
-    clocks_.RestoreClockValues(clock_values);
-    for (auto& view : views_) {
+    std::vector<View> views(views_.size());
+    for (View& view : views) {
       uint64_t n = 0;
       AMR_RETURN_IF_ERROR(r.ReadVarU64(n));
-      view.clear();
-      view.reserve(static_cast<size_t>(n));
       for (uint64_t i = 0; i < n; ++i) {
         uint64_t key = 0, clock = 0, epoch = 0;
         AMR_RETURN_IF_ERROR(r.ReadVarU64(key));
         AMR_RETURN_IF_ERROR(r.ReadVarU64(clock));
         AMR_RETURN_IF_ERROR(r.ReadVarU64(epoch));
+        if (key > std::numeric_limits<Key>::max() ||
+            (!view.keys_.empty() && key <= view.keys_.back())) {
+          return Status::DataLoss(
+              "state-store checkpoint keys not strictly ascending");
+        }
         Entry entry;
         entry.clock = static_cast<uint32_t>(clock);
         entry.epoch = static_cast<uint32_t>(epoch);
         AMR_RETURN_IF_ERROR(serde::Serde<V>::Read(r, entry.value));
-        view.emplace(static_cast<Key>(key), std::move(entry));
+        view.keys_.push_back(static_cast<Key>(key));
+        view.entries_.push_back(std::move(entry));
       }
     }
+    clocks_.RestoreClockValues(clock_values);
+    views_ = std::move(views);
     return Status::Ok();
   }
 
  private:
   ClockTable clocks_;
-  std::vector<std::unordered_map<Key, Entry>> views_;  // parallel to clocks_.peers()
+  std::vector<View> views_;  // parallel to clocks_.peers()
 };
 
 }  // namespace asyncmr::async

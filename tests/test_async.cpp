@@ -163,6 +163,64 @@ TEST(StateStore, SnapshotRestoreRoundTrip) {
   EXPECT_EQ(restored.view(2).count(99), 0u);
 }
 
+TEST(StateStore, SnapshotBytesIndependentOfInsertionOrder) {
+  const std::vector<uint32_t> keys = {3, 17, 40, 41, 1000, 70'000};
+  async::StateStore<double> ascending({4});
+  async::StateStore<double> descending({4});
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ascending.Put(4, keys[i], 0.5 * keys[i], /*clock=*/2);
+    const uint32_t key = keys[keys.size() - 1 - i];
+    descending.Put(4, key, 0.5 * key, /*clock=*/2);
+  }
+  EXPECT_EQ(ascending.view(4).keys(), keys);
+  EXPECT_EQ(descending.view(4).keys(), keys);
+
+  serde::Buffer a, d;
+  serde::Writer wa(a), wd(d);
+  ascending.SnapshotTo(wa);
+  descending.SnapshotTo(wd);
+  EXPECT_EQ(std::vector<uint8_t>(a.view().begin(), a.view().end()),
+            std::vector<uint8_t>(d.view().begin(), d.view().end()));
+}
+
+TEST(StateStore, RestoreRejectsUnsortedOrDuplicateKeys) {
+  // Hand-built images in SnapshotTo's layout: the clock vector, then per
+  // peer an entry count and (key, clock, epoch, value) records.
+  const auto image = [](const std::vector<uint32_t>& keys) {
+    serde::Buffer buf;
+    serde::Writer w(buf);
+    serde::Serde<std::vector<uint32_t>>::Write(w, std::vector<uint32_t>{5});
+    w.WriteVarU64(keys.size());
+    for (uint32_t key : keys) {
+      w.WriteVarU64(key);
+      w.WriteVarU64(/*clock=*/5);
+      w.WriteVarU64(/*epoch=*/0);
+      serde::Serde<double>::Write(w, 1.0);
+    }
+    return buf;
+  };
+
+  async::StateStore<double> store({0});
+  store.Put(0, 9, 4.0, /*clock=*/1);
+  for (const auto& keys : {std::vector<uint32_t>{2, 8, 8},
+                           std::vector<uint32_t>{2, 8, 3}}) {
+    const serde::Buffer buf = image(keys);
+    serde::Reader r(buf);
+    const Status status = store.RestoreFrom(r);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+    // A rejected image leaves the store as it was.
+    EXPECT_EQ(store.total_entries(), 1u);
+    EXPECT_EQ(store.view(0).at(9).value, 4.0);
+    EXPECT_EQ(store.clocks().clock_of(0), 0u);
+  }
+
+  const serde::Buffer sorted = image({2, 3, 8});
+  serde::Reader r(sorted);
+  ASSERT_TRUE(store.RestoreFrom(r).ok());
+  EXPECT_EQ(store.view(0).keys(), (std::vector<uint32_t>{2, 3, 8}));
+  EXPECT_EQ(store.clocks().clock_of(0), 5u);
+}
+
 TEST(StateStore, RejectsStaleOutOfOrderWrites) {
   // The fluid network completes flows by remaining bytes, so a sender's
   // later (smaller) batch can land before an earlier large one. Replacement
