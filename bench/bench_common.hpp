@@ -33,7 +33,9 @@ namespace asyncmr::bench {
 ///   v3 — micro_des gains the calendar-queue and sharded-mode columns
 ///   v4 — ablation_faults gains the node-crash column (node_* fields);
 ///        ablation_chaos lines introduced
-inline constexpr int kBenchSchemaVersion = 4;
+///   v5 — the sharded DES mode is deleted: scale_async drops des_mode and
+///        micro_des drops its four sharded-anchor columns
+inline constexpr int kBenchSchemaVersion = 5;
 
 /// Owns the optional observability sinks for a bench binary, resolved from
 /// BenchOptions (--trace-out / --metrics-out / AMR_TRACE_OUT / ...). When

@@ -25,9 +25,7 @@
 //    "net_churn_events_per_sec":E,"net_churn_reference_events_per_sec":E,
 //    "net_rebalance_speedup":X,
 //    "async_pagerank_wall_s":T,"wave_pagerank_wall_s":T,
-//    "async_virtual_s":T,"async_total_iterations":N,
-//    "async_pagerank_sharded_wall_s":T,"sharded_speedup":X,
-//    "shard_threads":N,"host_cores":N}
+//    "async_virtual_s":T,"async_total_iterations":N}
 //
 // The net_churn_* fields measure the fluid network itself: start/complete N
 // overlapping flows on a 64-node topology and count flow events (starts +
@@ -38,18 +36,14 @@
 // (same workload, byte-identical firing order); the onebucket_* pair is the
 // pathological distribution — every pending event at ONE timestamp — where
 // the calendar's sorted-bucket insert degrades and the heap does not.
-// sharded_speedup is serial wall / DesMode::kSharded wall on the async
-// anchor; on a single-core host it is honestly <= 1.
 //
-// Honours AMR_SCALE / AMR_SEED like the figure benches, plus
-// AMR_SHARD_THREADS (0 = size to the hardware).
+// Honours AMR_SCALE / AMR_SEED like the figure benches.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <queue>
-#include <thread>
 #include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
@@ -433,38 +427,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(async_stats.total_iterations),
                wave_wall);
 
-  // Sharded-DES anchor: the same async run with compute callbacks offloaded
-  // to the pool. Must be bit-identical to the serial run — verified here on
-  // the headline stats so a silent divergence poisons no trajectory.
-  const uint32_t host_cores = std::thread::hardware_concurrency();
-  const auto shard_threads =
-      static_cast<uint32_t>(GetEnvInt("AMR_SHARD_THREADS", 0));
-  async::AsyncResult sharded_stats;
-  double sharded_wall = 0.0;
-  {
-    apps::PageRankConfig pr_sharded = pr;
-    pr_sharded.async_tuning.des_mode = async::DesMode::kSharded;
-    pr_sharded.async_tuning.shard_threads = shard_threads;
-    cluster::SimCluster sim(cluster::ClusterSpec::Ec2Large8());
-    sharded_wall = WallSeconds([&] {
-      apps::AsyncPageRank(sim, g, part, pr_sharded, async::kUnboundedStaleness,
-                          &sharded_stats);
-    });
-  }
-  if (sharded_stats.total_iterations != async_stats.total_iterations ||
-      sharded_stats.end_seconds != async_stats.end_seconds) {
-    std::fprintf(stderr,
-                 "WARNING: sharded run diverged from serial "
-                 "(iterations %llu vs %llu, end %.17g vs %.17g)\n",
-                 static_cast<unsigned long long>(sharded_stats.total_iterations),
-                 static_cast<unsigned long long>(async_stats.total_iterations),
-                 sharded_stats.end_seconds, async_stats.end_seconds);
-  }
-  std::fprintf(stderr,
-               "sharded async PageRank: %.3fs wall (%.2fx serial) on %u host "
-               "cores\n",
-               sharded_wall, async_wall / sharded_wall, host_cores);
-
   // --- the JSON trajectory line ----------------------------------------------
   std::printf(
       "{\"bench\":\"micro_des\",\"schema_version\":%d,\"scale\":%g,\"seed\":%llu,"
@@ -480,19 +442,13 @@ int main(int argc, char** argv) {
       "\"net_churn_reference_events_per_sec\":%.0f,"
       "\"net_rebalance_speedup\":%.3f,"
       "\"async_pagerank_wall_s\":%.4f,\"wave_pagerank_wall_s\":%.4f,"
-      "\"async_virtual_s\":%.4f,\"async_total_iterations\":%llu,"
-      "\"async_pagerank_sharded_wall_s\":%.4f,\"sharded_speedup\":%.3f,"
-      "\"shard_threads\":%u,\"host_cores\":%u}\n",
+      "\"async_virtual_s\":%.4f,\"async_total_iterations\":%llu}\n",
       bench::kBenchSchemaVersion, opts.scale,
       static_cast<unsigned long long>(opts.seed), churn,
       churn_legacy, cancel, cancel_legacy, speedup, churn_cal, cancel_cal,
       cal_speedup, onebucket_heap, onebucket_cal, net_churn, net_churn_ref,
       net_churn / net_churn_ref, async_wall, wave_wall, async_stats.seconds(),
-      static_cast<unsigned long long>(async_stats.total_iterations),
-      sharded_wall, async_wall / sharded_wall,
-      shard_threads != 0 ? shard_threads
-                         : std::max(2u, std::thread::hardware_concurrency()),
-      host_cores);
+      static_cast<unsigned long long>(async_stats.total_iterations));
   obs_session.FlushOrWarn();
   return 0;
 }

@@ -457,12 +457,12 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   }
 
   async::AsyncConfig engine_config;
+  static_cast<async::EngineTuning&>(engine_config) = config.async_tuning;
   engine_config.staleness_bound = staleness;
   engine_config.convergence_threshold = config.tolerance;
   engine_config.max_iterations_per_worker = config.max_global_iterations * 10;
   engine_config.compute_time_scale = config.gmap_time_scale;
   engine_config.checkpoint_interval = config.async_checkpoint_interval;
-  engine_config.ApplyTuning(config.async_tuning);
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
 

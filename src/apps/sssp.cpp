@@ -417,13 +417,13 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   std::vector<double>& dist = result.distances;
 
   async::AsyncConfig engine_config;
+  static_cast<async::EngineTuning&>(engine_config) = config.async_tuning;
   engine_config.staleness_bound = staleness;
   // Residual is the count of changed distances; terminate when none anywhere.
   engine_config.convergence_threshold = 0.5;
   engine_config.max_iterations_per_worker = config.max_global_iterations;
   engine_config.compute_time_scale = config.gmap_time_scale;
   engine_config.checkpoint_interval = config.async_checkpoint_interval;
-  engine_config.ApplyTuning(config.async_tuning);
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <thread>
 
 #include "common/logging.hpp"
 
@@ -198,13 +197,9 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
   ctx.slots_ = &w.out;
   if (keepalive_only) {
     ctx.residual_ = w.ledger.last_residual;
-  } else if (config_.des_mode == DesMode::kSerial) {
+  } else {
     compute_(p, ctx);
   }
-  // (kSharded runs compute_ on the pool below; the draws and the load read
-  // stay here, at the same RNG stream position as the serial engine — a
-  // compute callback never touches the cluster RNG, and the determinism
-  // lint's ambient-randomness rule keeps it that way.)
 
   const cluster::ClusterSpec& spec = cluster_.spec();
   Rng& rng = cluster_.rng();
@@ -218,38 +213,6 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
   // exactly like they do for wave tasks. All are x1.0 identities when off.
   const double load =
       cluster_.NodeLoadFactor(w.node) * cluster_.NodeGrayFactor(w.node);
-
-  if (config_.des_mode == DesMode::kSharded && !keepalive_only) {
-    // Offload: park the completion event NOW — a serial BeginCompute issues
-    // exactly one ScheduleAfter here, so the parked event claims the same
-    // seq and the eventual completion keeps the serial FIFO tie-break —
-    // then hand the compute body to the pool. The finish lower bound uses
-    // the merge-ops-only product, which is <= the real compute time in
-    // exact float arithmetic (same expression, ops >= merge_ops).
-    Worker::InFlight& f = w.inflight;
-    f.active = true;
-    f.ctx = std::move(ctx);
-    f.merge_ops = merge_ops;
-    f.begin_time = cluster_.now();
-    f.slowdown = slowdown;
-    f.load = load;
-    f.lb_time = f.begin_time + static_cast<double>(merge_ops) *
-                                   spec.per_op_seconds *
-                                   config_.compute_time_scale * slowdown *
-                                   load / spec.nodes[w.node].speed_factor;
-    f.parked = cluster_.queue().Park([this, p, epoch] {
-      const Worker::InFlight& fin = workers_[p].inflight;
-      // A dead-epoch completion passes stale finals; FinishCompute's epoch
-      // guard drops it before reading them, exactly like the serial path.
-      FinishCompute(p, epoch, fin.final_ops, fin.merge_ops, fin.final_residual);
-    });
-    f.parked_seq = sim::EventQueue::SeqOfEvent(f.parked);
-    f.deferred.clear();
-    f.done = shard_pool_->Submit([this, p] {
-      compute_(p, workers_[p].inflight.ctx);
-    });
-    return;
-  }
 
   const uint64_t ops = ctx.ops_ + merge_ops;
   const double compute_s = static_cast<double>(ops) * spec.per_op_seconds *
@@ -269,85 +232,6 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
       compute_s, [this, p, epoch, ops, merge_ops, residual] {
         FinishCompute(p, epoch, ops, merge_ops, residual);
       });
-}
-
-void AsyncEngine::JoinInFlight(uint32_t p) {
-  Worker& w = workers_[p];
-  Worker::InFlight& f = w.inflight;
-  AMR_CHECK(f.active);
-  f.done.wait();
-  f.active = false;
-  // Replay deferred app callbacks in arrival order: in serial semantics the
-  // compute already ran, atomically, at begin — these mutations come after
-  // it and before anything that can observe the partition's state next (the
-  // next compute, a checkpoint, a restore all happen post-join).
-  for (Worker::DeferredCallback& d : f.deferred) {
-    if (d.kind == Worker::DeferredCallback::Kind::kApply) {
-      apply_(p, d.from, d.from_clock, d.from_epoch, d.batch);
-    } else {
-      on_peer_restart_(p, d.from);
-    }
-  }
-  f.deferred.clear();
-  const cluster::ClusterSpec& spec = cluster_.spec();
-  const uint64_t ops = f.ctx.ops_ + f.merge_ops;
-  // The serial engine's exact expression, with the draws made at begin —
-  // same values, same order, bit-identical virtual duration.
-  const double compute_s = static_cast<double>(ops) * spec.per_op_seconds *
-                           config_.compute_time_scale * f.slowdown * f.load /
-                           spec.nodes[w.node].speed_factor;
-  if (config_.obs.trace != nullptr && f.load > 1.0) {
-    // Sharded mode emits the straggling span at join instead of begin: sink
-    // write ORDER can differ from serial, the span itself is identical.
-    config_.obs.trace->Span("straggling", "fault", obs::kPidWorkers, p,
-                            f.begin_time, f.begin_time + compute_s,
-                            {"load", f.load});
-  }
-  f.final_ops = ops;
-  f.final_residual = f.ctx.residual_;
-  const bool activated =
-      cluster_.queue().Activate(f.parked, f.begin_time + compute_s);
-  AMR_CHECK(activated) << "parked completion event went stale before join";
-  f.parked = 0;
-}
-
-void AsyncEngine::DriveSharded() {
-  sim::EventQueue& queue = cluster_.queue();
-  for (;;) {
-    sim::SimTime t_next = 0.0;
-    uint64_t seq_next = 0;
-    if (!queue.PeekNextEvent(&t_next, &seq_next)) {
-      // No fireable event: every future event is an in-flight completion.
-      // Join them all (ascending p — deterministic, and the replays are
-      // partition-confined) and let the queue order the activated events.
-      bool any = false;
-      for (uint32_t p = 0; p < num_partitions_; ++p) {
-        if (workers_[p].inflight.active) {
-          JoinInFlight(p);
-          any = true;
-        }
-      }
-      if (!any) break;
-      continue;
-    }
-    // Conservative lookahead: an in-flight completion lands at (finish,
-    // parked_seq) with finish >= lb_time, so the next event may fire only
-    // if its full (time, seq) key beats every in-flight bound. Every event
-    // fired here therefore precedes every eventual completion key, which is
-    // what keeps the pop sequence exactly serial.
-    bool joined = false;
-    for (uint32_t p = 0; p < num_partitions_; ++p) {
-      const Worker::InFlight& f = workers_[p].inflight;
-      if (!f.active) continue;
-      if (f.lb_time < t_next ||
-          (f.lb_time == t_next && f.parked_seq < seq_next)) {
-        JoinInFlight(p);
-        joined = true;
-      }
-    }
-    if (joined) continue;  // re-peek: a completion may now be the next event
-    queue.RunOne();
-  }
 }
 
 void AsyncEngine::FinishCompute(uint32_t p, uint32_t epoch, uint64_t ops,
@@ -432,16 +316,7 @@ void AsyncEngine::OnBatchDelivered(uint32_t to, uint32_t from,
     // past the sender's when it emitted. Negative = sender ahead.
     staleness_[to].Add(static_cast<double>(w.iterations) -
                        static_cast<double>(from_clock));
-    if (w.inflight.active) {
-      // The receiver's compute is on a pool thread (kSharded): every piece
-      // of engine bookkeeping around this delivery stays right here, but
-      // the app-state mutation replays at join — serial semantics already
-      // ran the compute, atomically, at begin, so the apply comes after.
-      w.inflight.deferred.push_back({Worker::DeferredCallback::Kind::kApply,
-                                     from, from_clock, from_epoch, batch});
-    } else {
-      apply_(to, from, from_clock, from_epoch, batch);
-    }
+    apply_(to, from, from_clock, from_epoch, batch);
     w.pending_input = true;
     w.unmerged_records += batch.records;
   }
@@ -596,17 +471,7 @@ void AsyncEngine::OnFlowFailed(uint32_t p, size_t peer_index,
 
 void AsyncEngine::ForceSenderReannounce(uint32_t p, uint32_t q) {
   Worker& w = workers_[p];
-  if (on_peer_restart_) {
-    if (w.inflight.active) {
-      // p's compute is on a pool thread: the delta-filter mutation would
-      // race it (and serially comes after the already-begun compute), so it
-      // replays at join like a deferred apply.
-      w.inflight.deferred.push_back(
-          {Worker::DeferredCallback::Kind::kPeerRestart, q, 0, 0, {}});
-    } else {
-      on_peer_restart_(p, q);
-    }
-  }
+  if (on_peer_restart_) on_peer_restart_(p, q);
   if (w.phase == WorkerPhase::kDown) return;
   w.pending_input = true;
   w.ledger.dirty = true;
@@ -777,12 +642,6 @@ void AsyncEngine::ScheduleNextCrash(uint32_t p) {
 
 void AsyncEngine::FenceWorker(uint32_t p) {
   Worker& w = workers_[p];
-  // An offloaded compute must land before the process can die: serially it
-  // ran at begin (before this crash), its deferred applies were delivered
-  // before the crash too, and the restore path rebuilds the very state the
-  // pool thread is reading. The activated completion then no-ops on the
-  // epoch guard exactly like the serial engine's pre-scheduled one.
-  if (w.inflight.active) JoinInFlight(p);
   ++w.epoch;  // in-flight batches/grants/completions of the old epoch die
   ++total_restarts_;
   if (w.phase == WorkerPhase::kComputing) {
@@ -1533,6 +1392,16 @@ AsyncResult AsyncEngine::Run() {
       << "crash injection and speculation require snapshot and restore "
       << "callbacks (checkpoint/replay is the async engine's only recovery "
       << "path, and backups incubate from checkpoints)";
+  // Both timers reschedule themselves at now + interval: a non-positive
+  // interval would re-fire at the same instant forever (the speculation
+  // scan) or collapse the regeneration backoff to zero (the token timer).
+  AMR_CHECK(!speculation || config_.speculation_check_interval_s > 0.0)
+      << "speculation_factor > 0 requires speculation_check_interval_s > 0 "
+      << "(got " << config_.speculation_check_interval_s << ")";
+  AMR_CHECK(!TokenCanBeLost() || config_.token_regen_timeout_s > 0.0)
+      << "a fault model that can lose the termination token requires "
+      << "token_regen_timeout_s > 0 (got " << config_.token_regen_timeout_s
+      << ")";
 
   BuildTopology();
   if (node_faults || speculation) {
@@ -1593,17 +1462,7 @@ AsyncResult AsyncEngine::Run() {
                               [this, i] { OnPartitionHealed(i); });
   }
   StartCircuit();
-  if (config_.des_mode == DesMode::kSharded) {
-    const uint32_t threads =
-        config_.shard_threads != 0
-            ? config_.shard_threads
-            : std::max(2u, std::thread::hardware_concurrency());
-    shard_pool_ = std::make_unique<ThreadPool>(threads);
-    DriveSharded();
-    shard_pool_.reset();
-  } else {
-    cluster_.RunUntilIdle();
-  }
+  cluster_.RunUntilIdle();
   AMR_CHECK(finished_)
       << "async engine drained the event queue without terminating";
   if (config_.obs.metrics != nullptr) {
