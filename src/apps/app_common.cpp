@@ -4,25 +4,6 @@
 
 namespace asyncmr::apps {
 
-PartitionView PartitionView::Build(const graph::Digraph& g,
-                                   const graph::Partitioning& p) {
-  PartitionView view;
-  view.members = p.Members();
-  view.internal_target_index.resize(p.num_parts);
-  for (uint32_t part = 0; part < p.num_parts; ++part) {
-    auto& per_member = view.internal_target_index[part];
-    per_member.resize(view.members[part].size());
-    for (size_t i = 0; i < view.members[part].size(); ++i) {
-      const graph::VertexId v = view.members[part][i];
-      const auto neighbors = g.OutNeighbors(v);
-      for (uint32_t j = 0; j < neighbors.size(); ++j) {
-        if (p.part_of[neighbors[j]] == part) per_member[i].push_back(j);
-      }
-    }
-  }
-  return view;
-}
-
 core::RunTrace AsyncRunTrace(const std::string& name,
                              const async::AsyncResult& result) {
   core::RunTrace run(name);

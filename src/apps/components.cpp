@@ -1,13 +1,11 @@
 #include "apps/components.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "apps/app_common.hpp"
+#include "apps/boundary_exchange.hpp"
 #include "common/check.hpp"
 
 namespace asyncmr::apps {
@@ -28,17 +26,30 @@ std::vector<double> IdentityLabels(uint32_t n) {
   return init;
 }
 
+/// Number of distinct labels. Labels are vertex ids, so one flag per vertex
+/// counts them.
+uint32_t CountDistinctLabels(const std::vector<graph::VertexId>& labels) {
+  std::vector<uint8_t> seen(labels.size(), 0);
+  uint32_t distinct = 0;
+  for (graph::VertexId label : labels) {
+    AMR_CHECK_LT(label, labels.size());
+    if (seen[label] == 0) {
+      seen[label] = 1;
+      ++distinct;
+    }
+  }
+  return distinct;
+}
+
 ComponentsResult FromSssp(SsspResult&& sssp, uint32_t n) {
   ComponentsResult result;
   result.trace = std::move(sssp.trace);
   result.converged = sssp.converged;
   result.labels.resize(n);
-  std::unordered_set<graph::VertexId> distinct;
   for (uint32_t v = 0; v < n; ++v) {
     result.labels[v] = static_cast<graph::VertexId>(sssp.distances[v]);
-    distinct.insert(result.labels[v]);
   }
-  result.num_components = static_cast<uint32_t>(distinct.size());
+  result.num_components = CountDistinctLabels(result.labels);
   return result;
 }
 
@@ -113,21 +124,18 @@ ComponentsResult EagerComponents(cluster::SimCluster& cluster,
 
 namespace {
 
+/// Labels pushed over cut edges whose sources are vertex ids.
+using LabelExchange = BoundaryExchange<CutEdge, uint32_t>;
+
 /// Per-partition worker state for the asynchronous engine.
 struct AsyncCcPartition {
   std::vector<graph::VertexId> members;
   // Internal symmetrized adjacency per member (global target vertex ids).
   std::vector<std::vector<graph::VertexId>> internal;
   uint64_t internal_edges = 0;
-  // Boundary edges grouped by consuming partition, (target, source) sorted by
-  // target so per-target minima fold in one pass.
-  struct BoundaryGroup {
-    uint32_t peer = 0;
-    std::vector<std::pair<graph::VertexId, graph::VertexId>> edges;
-  };
-  std::vector<BoundaryGroup> boundary;
-  // Best label already pushed per boundary target (monotone decreasing).
-  std::vector<std::unordered_map<graph::VertexId, uint32_t>> best_sent;
+  // Cut edges folded to one minimum per target; each target's filter entry
+  // is the best label pushed (monotone decreasing).
+  LabelExchange exchange;
 };
 
 }  // namespace
@@ -148,8 +156,7 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
     AsyncCcPartition& part = parts[p];
     part.members = members[p];
     part.internal.resize(part.members.size());
-    std::map<uint32_t, std::vector<std::pair<graph::VertexId, graph::VertexId>>>
-        boundary;
+    std::map<uint32_t, std::vector<CutEdge>> cut;
     for (size_t i = 0; i < part.members.size(); ++i) {
       const graph::VertexId u = part.members[i];
       for (graph::VertexId t : sym.OutNeighbors(u)) {
@@ -157,15 +164,11 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
           part.internal[i].push_back(t);
           ++part.internal_edges;
         } else {
-          boundary[partitioning.part_of[t]].emplace_back(t, u);
+          cut[partitioning.part_of[t]].push_back({t, u});
         }
       }
     }
-    for (auto& [q, edges] : boundary) {
-      std::sort(edges.begin(), edges.end());
-      part.boundary.push_back({q, std::move(edges)});
-    }
-    part.best_sent.resize(part.boundary.size());
+    part.exchange = LabelExchange(std::move(cut));
   }
 
   ComponentsResult result;
@@ -182,22 +185,6 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
   engine_config.checkpoint_interval = config.async_checkpoint_interval;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
-
-  // Recovery re-announcement: every label this group ever pushed is pushed
-  // again. Labels only shrink (min-combine), so dead-epoch facts stand; the
-  // restarted worker itself rolled back to older (larger) labels and needs
-  // its in-peers' minima again.
-  auto force_resend = [](AsyncCcPartition& part, size_t b) {
-    for (auto& [target, best] : part.best_sent[b]) {
-      best = std::numeric_limits<uint32_t>::max();
-    }
-  };
-
-  engine.set_out_peers([&](uint32_t p) {
-    std::vector<uint32_t> peers;
-    for (const auto& group : parts[p].boundary) peers.push_back(group.peer);
-    return peers;
-  });
 
   engine.set_compute([&](uint32_t p, async::AsyncContext& ctx) {
     AsyncCcPartition& part = parts[p];
@@ -224,23 +211,14 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
     ctx.set_residual(static_cast<double>(changed));
 
     // Push improved labels over cut edges, min-folded per target.
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      const auto& group = part.boundary[b];
-      for (size_t e = 0; e < group.edges.size();) {
-        const graph::VertexId t = group.edges[e].first;
-        uint32_t best = labels[group.edges[e].second];
-        for (++e; e < group.edges.size() && group.edges[e].first == t; ++e) {
-          best = std::min(best, static_cast<uint32_t>(labels[group.edges[e].second]));
-        }
-        auto [it, inserted] = part.best_sent[b].try_emplace(t, best);
-        if (!inserted) {
-          if (best >= it->second) continue;
-          it->second = best;
-        }
-        ctx.Emit(group.peer, CcLabelUpdate{t, best});
-      }
-      ops += group.edges.size();
-    }
+    ops += part.exchange.PushFolded(
+        LabelExchange::kNeverSent,
+        [&](const CutEdge& e) { return labels[e.source]; },
+        [](uint32_t a, uint32_t b) { return std::min(a, b); },
+        [](uint32_t label, uint32_t best) { return label < best; },
+        [&](uint32_t peer, graph::VertexId t, uint32_t label) {
+          ctx.Emit(peer, CcLabelUpdate{t, label});
+        });
     ctx.AddOps(ops);
   });
 
@@ -260,26 +238,25 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
     for (graph::VertexId v : part.members) slice.push_back(labels[v]);
     serde::Serde<std::vector<uint32_t>>::Write(w, slice);
   });
-  engine.set_restore([&](uint32_t p, serde::Reader& r) {
-    AsyncCcPartition& part = parts[p];
-    std::vector<uint32_t> slice;
-    AMR_CHECK(serde::Serde<std::vector<uint32_t>>::Read(r, slice).ok());
-    AMR_CHECK_EQ(slice.size(), part.members.size());
-    for (size_t i = 0; i < slice.size(); ++i) labels[part.members[i]] = slice[i];
-    for (size_t b = 0; b < part.boundary.size(); ++b) force_resend(part, b);
-  });
-  engine.set_on_peer_restart([&](uint32_t q, uint32_t restarted) {
-    AsyncCcPartition& part = parts[q];
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      if (part.boundary[b].peer == restarted) force_resend(part, b);
-    }
-  });
+  // Restore re-announces every label, and so does a peer's restart toward
+  // it. Labels only shrink (min-combine), so dead-epoch facts stand; the
+  // restarted worker itself rolled back to older (larger) labels and needs
+  // its in-peers' minima again.
+  InstallBoundaryExchange(
+      engine,
+      [&](uint32_t p) -> LabelExchange& { return parts[p].exchange; },
+      [&](uint32_t p, serde::Reader& r) {
+        const AsyncCcPartition& part = parts[p];
+        std::vector<uint32_t> slice;
+        AMR_CHECK(serde::Serde<std::vector<uint32_t>>::Read(r, slice).ok());
+        AMR_CHECK_EQ(slice.size(), part.members.size());
+        for (size_t i = 0; i < slice.size(); ++i) labels[part.members[i]] = slice[i];
+      });
 
   async::AsyncResult engine_result = engine.Run();
   if (engine_stats != nullptr) *engine_stats = engine_result;
 
-  std::unordered_set<graph::VertexId> distinct(labels.begin(), labels.end());
-  result.num_components = static_cast<uint32_t>(distinct.size());
+  result.num_components = CountDistinctLabels(labels);
   result.converged = engine_result.converged;
   result.trace = AsyncRunTrace("async-components", engine_result);
   return result;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <map>
-#include <optional>
 
 #include "apps/app_common.hpp"
+#include "apps/boundary_exchange.hpp"
 #include "core/partial_sync_job.hpp"
 #include "core/partition_io.hpp"
 #include "graph/graph_io.hpp"
@@ -326,40 +324,12 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
 // Async Jacobi: chaotic block-Jacobi on async::AsyncEngine.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Per-partition worker state for the asynchronous engine.
-struct AsyncJacPartition {
-  std::vector<graph::VertexId> members;
-  // Internal adjacency in local indices (the diagonal block of A).
-  std::vector<std::vector<uint32_t>> internal_targets;
-  std::vector<double> inv_diag;  // per member: 1 / (full sym degree + 1)
-  uint64_t internal_edges = 0;
-  // Boundary out-edges grouped by consuming partition, as (target, source
-  // local index) sorted by target so per-target row sums fold in one pass.
-  struct BoundaryGroup {
-    uint32_t peer = 0;
-    std::vector<std::pair<graph::VertexId, uint32_t>> edges;
-  };
-  std::vector<BoundaryGroup> boundary;
-
-  std::vector<double> x;    // per member
-  std::vector<double> ext;  // per member: summed external boundary rows
-  async::StateStore<double> store;  // latest row sum per (sender, vertex)
-  // Delta filter per boundary group: last value pushed for each target,
-  // indexed by the target's ordinal in the group.
-  std::vector<std::vector<double>> last_sent;
-};
-
-}  // namespace
-
 JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_sym,
                          const std::vector<double>& b,
                          const graph::Partitioning& partitioning,
                          const JacobiConfig& config, uint32_t staleness,
                          async::AsyncResult* engine_stats) {
-  const uint32_t n = g_sym.num_vertices();
-  AMR_CHECK_EQ(b.size(), n);
+  AMR_CHECK_EQ(b.size(), g_sym.num_vertices());
   const uint32_t num_parts = partitioning.num_parts;
   // Row-sum changes smaller than this are not re-pushed. The Jacobi update
   // divides the row sum by (deg + 1) >= 1, so one withheld delta per in-peer
@@ -367,52 +337,19 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   // to keep the total silenced error under half the global tolerance.
   const double send_eps =
       config.tolerance * 0.5 / std::max(1u, partitioning.num_parts);
-  const auto members = partitioning.Members();
-
-  std::vector<AsyncJacPartition> parts(num_parts);
-  std::vector<std::vector<uint32_t>> in_peers(num_parts);
-  // Vertex -> index within its own partition; partitions are disjoint, so
-  // one array serves all of them.
-  std::vector<uint32_t> local_of(n);
+  AdditiveExchange<JacBoundaryUpdate> exchange(
+      g_sym, partitioning, /*x0=*/0.0,
+      {config.max_local_iterations, config.local_tolerance, send_eps});
+  // Per member: 1 / (full sym degree + 1), the inverse diagonal of A.
+  std::vector<std::vector<double>> inv_diag(num_parts);
   for (uint32_t p = 0; p < num_parts; ++p) {
-    for (uint32_t i = 0; i < members[p].size(); ++i) local_of[members[p][i]] = i;
-  }
-
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    AsyncJacPartition& part = parts[p];
-    part.members = members[p];
-    const uint32_t m = static_cast<uint32_t>(part.members.size());
-    part.internal_targets.resize(m);
-    part.inv_diag.resize(m);
-    part.x.assign(m, 0.0);
-    part.ext.assign(m, 0.0);
-
-    std::map<uint32_t, std::vector<std::pair<graph::VertexId, uint32_t>>> boundary;
-    for (uint32_t i = 0; i < m; ++i) {
-      const graph::VertexId u = part.members[i];
-      part.inv_diag[i] = 1.0 / (g_sym.OutDegree(u) + 1.0);
-      for (graph::VertexId t : g_sym.OutNeighbors(u)) {
-        const uint32_t q = partitioning.part_of[t];
-        if (q == p) {
-          part.internal_targets[i].push_back(local_of[t]);
-          ++part.internal_edges;
-        } else {
-          boundary[q].emplace_back(t, i);
-        }
-      }
+    for (graph::VertexId u : exchange.part(p).members) {
+      inv_diag[p].push_back(1.0 / (g_sym.OutDegree(u) + 1.0));
     }
-    for (auto& [q, edges] : boundary) {
-      std::sort(edges.begin(), edges.end());
-      part.last_sent.emplace_back(CountBoundaryTargets(edges), 0.0);
-      part.boundary.push_back({q, std::move(edges)});
-      in_peers[q].push_back(p);
-    }
-  }
-  // x starts at all zeros, so every boundary row sum — and thus every ext —
-  // starts at 0.0 too; the senders' zeroed delta filters already agree with
-  // the receivers' views and no seeding pass is needed.
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    parts[p].store = async::StateStore<double>(in_peers[p]);
+    // x starts at all zeros, so every boundary row sum starts at 0.0 — the
+    // value a receiver reads for a key it never received. The filters start
+    // there instead of at "never sent", and no seeding pass is needed.
+    exchange.part(p).exchange.AssumeSent(0.0);
   }
 
   async::AsyncConfig engine_config;
@@ -424,113 +361,24 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   engine_config.checkpoint_interval = config.async_checkpoint_interval;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
-
-  // Recovery re-announcement: marks every target of one boundary group for
-  // unconditional re-send (row sums hover near zero, so a cleared filter
-  // could stay silent within send_eps while the peer holds a stale
-  // dead-epoch value).
-  auto force_resend = [](AsyncJacPartition& part, size_t bg) {
-    std::fill(part.last_sent[bg].begin(), part.last_sent[bg].end(),
-              std::numeric_limits<double>::infinity());
-  };
-
-  engine.set_out_peers([&](uint32_t p) {
-    std::vector<uint32_t> peers;
-    for (const auto& group : parts[p].boundary) peers.push_back(group.peer);
-    return peers;
-  });
-
+  exchange.Install(engine);
+  // Block-Jacobi: x_i = (b_i + row sum over neighbors) / (deg_i + 1).
   engine.set_compute([&](uint32_t p, async::AsyncContext& ctx) {
-    AsyncJacPartition& part = parts[p];
-    const uint32_t m = static_cast<uint32_t>(part.members.size());
-    if (m == 0) return;
-    const std::vector<double> before = part.x;
-    uint64_t ops = 0;
-
-    // Block-Jacobi to local convergence with external rows frozen.
-    std::vector<double> acc(m);
-    std::vector<double> next(m);
-    for (uint32_t sweep = 0; sweep < config.max_local_iterations; ++sweep) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (uint32_t i = 0; i < m; ++i) {
-        const double xi = part.x[i];
-        for (uint32_t t : part.internal_targets[i]) acc[t] += xi;
-      }
-      double sweep_residual = 0.0;
-      for (uint32_t i = 0; i < m; ++i) {
-        const graph::VertexId v = part.members[i];
-        next[i] = (b[v] + acc[i] + part.ext[i]) * part.inv_diag[i];
-        sweep_residual = std::max(sweep_residual, std::abs(next[i] - part.x[i]));
-      }
-      part.x.swap(next);
-      ops += part.internal_edges + 2 * m;
-      if (sweep_residual < config.local_tolerance) break;
-    }
-
-    double residual = 0.0;
-    for (uint32_t i = 0; i < m; ++i) {
-      residual = std::max(residual, std::abs(part.x[i] - before[i]));
-    }
-    ctx.set_residual(residual);
-
-    // Push refreshed boundary row sums, delta-filtered.
-    for (size_t b_idx = 0; b_idx < part.boundary.size(); ++b_idx) {
-      const auto& group = part.boundary[b_idx];
-      ForEachBoundaryTargetSum(
-          group.edges, [&](uint32_t i) { return part.x[i]; },
-          [&](size_t k, graph::VertexId t, double sum) {
-            double& sent = part.last_sent[b_idx][k];
-            if (std::abs(sum - sent) > send_eps) {
-              ctx.Emit(group.peer, JacBoundaryUpdate{t, sum});
-              sent = sum;
-            }
-          });
-      ops += group.edges.size();
-    }
-    ctx.AddOps(ops);
-  });
-
-  engine.set_apply([&](uint32_t p, uint32_t from, uint32_t from_clock,
-                       uint32_t from_epoch, const async::UpdateBatch& batch) {
-    AsyncJacPartition& part = parts[p];
-    part.store.ObserveClock(from, from_clock);
-    async::ForEachUpdate<JacBoundaryUpdate>(batch, [&](const JacBoundaryUpdate& u) {
-      const auto put = part.store.Put(from, u.vertex, u.sum, from_clock, from_epoch);
-      if (!put.applied) return;  // out-of-order stale delivery
-      part.ext[local_of[u.vertex]] += u.sum - put.replaced.value_or(0.0);
-    });
-  });
-
-  engine.set_snapshot([&](uint32_t p, serde::Writer& w) {
-    const AsyncJacPartition& part = parts[p];
-    serde::Serde<std::vector<double>>::Write(w, part.x);
-    serde::Serde<std::vector<double>>::Write(w, part.ext);
-    part.store.SnapshotTo(w);
-  });
-  engine.set_restore([&](uint32_t p, serde::Reader& r) {
-    AsyncJacPartition& part = parts[p];
-    AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, part.x).ok());
-    AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, part.ext).ok());
-    AMR_CHECK(part.store.RestoreFrom(r).ok());
-    for (size_t bg = 0; bg < part.boundary.size(); ++bg) force_resend(part, bg);
-  });
-  engine.set_on_peer_restart([&](uint32_t q, uint32_t restarted) {
-    AsyncJacPartition& part = parts[q];
-    for (size_t bg = 0; bg < part.boundary.size(); ++bg) {
-      if (part.boundary[bg].peer == restarted) force_resend(part, bg);
-    }
+    const auto& part = exchange.part(p);
+    const std::vector<double>& x = part.x;
+    const std::vector<double>& inv = inv_diag[p];
+    exchange.Iterate(
+        p, ctx, [&](uint32_t i) { return x[i]; },
+        [&](uint32_t i, double acc, double ext) {
+          return (b[part.members[i]] + acc + ext) * inv[i];
+        });
   });
 
   async::AsyncResult engine_result = engine.Run();
   if (engine_stats != nullptr) *engine_stats = engine_result;
 
   JacobiResult result;
-  result.x.assign(n, 0.0);
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    for (uint32_t i = 0; i < parts[p].members.size(); ++i) {
-      result.x[parts[p].members[i]] = parts[p].x[i];
-    }
-  }
+  result.x = exchange.Gather();
   result.converged = engine_result.converged;
   result.trace = AsyncRunTrace("async-jacobi", engine_result);
   result.residual_inf = JacobiResidual(g_sym, b, result.x);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <map>
-#include <optional>
 
 #include "apps/app_common.hpp"
+#include "apps/boundary_exchange.hpp"
 #include "core/partial_sync_job.hpp"
 #include "core/partition_io.hpp"
 #include "graph/graph_io.hpp"
@@ -347,40 +345,10 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
 // Async PageRank: barrier-free block solves on async::AsyncEngine.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Per-partition worker state for the asynchronous engine.
-struct AsyncPrPartition {
-  std::vector<graph::VertexId> members;
-  // Internal adjacency in local indices (paper: the partition's sub-graph).
-  std::vector<std::vector<uint32_t>> internal_targets;
-  std::vector<double> inv_outdeg;  // per member
-  uint64_t internal_edges = 0;
-  // Boundary out-edges grouped by consuming partition, as (target, source
-  // local index) sorted by target so per-target sums accumulate in one pass.
-  struct BoundaryGroup {
-    uint32_t peer = 0;
-    std::vector<std::pair<graph::VertexId, uint32_t>> edges;
-  };
-  std::vector<BoundaryGroup> boundary;
-
-  std::vector<double> ranks;  // per member
-  std::vector<double> ext;    // per member: summed external contributions
-  async::StateStore<double> store;  // latest contribution per (sender, vertex)
-  // Delta filter per boundary group: last value pushed for each target,
-  // indexed by the target's ordinal in the group.
-  std::vector<std::vector<double>> last_sent;
-  // Per-iteration scratch for the block solve, reused across iterations.
-  std::vector<double> before, acc, next;
-};
-
-}  // namespace
-
 PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph& g,
                              const graph::Partitioning& partitioning,
                              const PageRankConfig& config, uint32_t staleness,
                              async::AsyncResult* engine_stats) {
-  const uint32_t n = g.num_vertices();
   const uint32_t num_parts = partitioning.num_parts;
   const double chi = config.damping;
   // Contribution changes smaller than this are not re-pushed. A receiver can
@@ -389,71 +357,22 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   // global tolerance regardless of fan-in.
   const double send_eps =
       config.tolerance * 0.5 / std::max(1u, partitioning.num_parts);
-  const auto members = partitioning.Members();
-
-  std::vector<AsyncPrPartition> parts(num_parts);
-  std::vector<std::vector<uint32_t>> in_peers(num_parts);
-  // Vertex -> index within its own partition; partitions are disjoint, so
-  // one array serves all of them.
-  std::vector<uint32_t> local_of(n);
+  AdditiveExchange<PrBoundaryUpdate> exchange(
+      g, partitioning, /*x0=*/1.0,
+      {config.max_local_iterations, config.local_tolerance, send_eps});
+  // Per member: the share of its rank each out-edge carries.
+  std::vector<std::vector<double>> inv_outdeg(num_parts);
   for (uint32_t p = 0; p < num_parts; ++p) {
-    for (uint32_t i = 0; i < members[p].size(); ++i) local_of[members[p][i]] = i;
-  }
-
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    AsyncPrPartition& part = parts[p];
-    part.members = members[p];
-    const uint32_t m = static_cast<uint32_t>(part.members.size());
-    part.internal_targets.resize(m);
-    part.inv_outdeg.resize(m);
-    part.ranks.assign(m, 1.0);
-    part.ext.assign(m, 0.0);
-    part.before.resize(m);
-    part.acc.resize(m);
-    part.next.resize(m);
-
-    std::map<uint32_t, std::vector<std::pair<graph::VertexId, uint32_t>>> boundary;
-    for (uint32_t i = 0; i < m; ++i) {
-      const graph::VertexId u = part.members[i];
+    for (graph::VertexId u : exchange.part(p).members) {
       const uint32_t deg = g.OutDegree(u);
-      part.inv_outdeg[i] = deg > 0 ? 1.0 / deg : 0.0;
-      for (graph::VertexId t : g.OutNeighbors(u)) {
-        const uint32_t q = partitioning.part_of[t];
-        if (q == p) {
-          part.internal_targets[i].push_back(local_of[t]);
-          ++part.internal_edges;
-        } else {
-          boundary[q].emplace_back(t, i);
-        }
-      }
-    }
-    for (auto& [q, edges] : boundary) {
-      std::sort(edges.begin(), edges.end());
-      part.last_sent.emplace_back(CountBoundaryTargets(edges));
-      part.boundary.push_back({q, std::move(edges)});
-      in_peers[q].push_back(p);
+      inv_outdeg[p].push_back(deg > 0 ? 1.0 / deg : 0.0);
     }
   }
-
   // Seed external contributions from the initial all-ones ranks so iteration
   // one starts from the same state a synchronized round zero would, and the
   // delta filters agree with the receivers' seeded views.
   for (uint32_t p = 0; p < num_parts; ++p) {
-    parts[p].store = async::StateStore<double>(in_peers[p]);
-  }
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    AsyncPrPartition& part = parts[p];
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      AsyncPrPartition& peer = parts[part.boundary[b].peer];
-      ForEachBoundaryTargetSum(
-          part.boundary[b].edges,
-          [&](uint32_t i) { return part.inv_outdeg[i]; },  // rank 1.0
-          [&](size_t k, graph::VertexId t, double sum) {
-            part.last_sent[b][k] = sum;
-            peer.store.Put(p, t, sum, /*clock=*/0);
-            peer.ext[local_of[t]] += sum;
-          });
-    }
+    exchange.Seed(p, [&](uint32_t i) { return inv_outdeg[p][i]; });  // rank 1.0
   }
 
   async::AsyncConfig engine_config;
@@ -465,118 +384,22 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   engine_config.checkpoint_interval = config.async_checkpoint_interval;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
-
-  // Marks every target of one boundary group for unconditional re-send: the
-  // recovery protocol's re-announcement (a cleared filter is NOT enough — a
-  // sum whose current value sits within send_eps of zero would stay silent
-  // while the peer holds a stale dead-epoch value for it).
-  auto force_resend = [](AsyncPrPartition& part, size_t b) {
-    std::fill(part.last_sent[b].begin(), part.last_sent[b].end(),
-              std::numeric_limits<double>::infinity());
-  };
-
-  engine.set_out_peers([&](uint32_t p) {
-    std::vector<uint32_t> peers;
-    for (const auto& group : parts[p].boundary) peers.push_back(group.peer);
-    return peers;
-  });
-
+  exchange.Install(engine);
   engine.set_compute([&](uint32_t p, async::AsyncContext& ctx) {
-    AsyncPrPartition& part = parts[p];
-    const uint32_t m = static_cast<uint32_t>(part.members.size());
-    if (m == 0) return;
-    std::vector<double>& before = part.before;
-    std::vector<double>& acc = part.acc;
-    std::vector<double>& next = part.next;
-    before = part.ranks;
-    uint64_t ops = 0;
-
-    // Block solve to local convergence with external contributions frozen
-    // (the paper's lmap/lreduce loop, computed directly).
-    for (uint32_t sweep = 0; sweep < config.max_local_iterations; ++sweep) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (uint32_t i = 0; i < m; ++i) {
-        const double c = part.ranks[i] * part.inv_outdeg[i];
-        for (uint32_t t : part.internal_targets[i]) acc[t] += c;
-      }
-      double sweep_residual = 0.0;
-      for (uint32_t i = 0; i < m; ++i) {
-        next[i] = (1.0 - chi) + chi * (acc[i] + part.ext[i]);
-        sweep_residual = std::max(sweep_residual, std::abs(next[i] - part.ranks[i]));
-      }
-      part.ranks.swap(next);
-      ops += part.internal_edges + 2 * m;
-      if (sweep_residual < config.local_tolerance) break;
-    }
-
-    double residual = 0.0;
-    for (uint32_t i = 0; i < m; ++i) {
-      residual = std::max(residual, std::abs(part.ranks[i] - before[i]));
-    }
-    ctx.set_residual(residual);
-
-    // Push refreshed boundary contributions, delta-filtered.
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      ForEachBoundaryTargetSum(
-          part.boundary[b].edges,
-          [&](uint32_t i) { return part.ranks[i] * part.inv_outdeg[i]; },
-          [&](size_t k, graph::VertexId t, double sum) {
-            double& sent = part.last_sent[b][k];
-            if (std::abs(sum - sent) > send_eps) {
-              ctx.Emit(part.boundary[b].peer, PrBoundaryUpdate{t, sum});
-              sent = sum;
-            }
-          });
-      ops += part.boundary[b].edges.size();
-    }
-    ctx.AddOps(ops);
-  });
-
-  engine.set_apply([&](uint32_t p, uint32_t from, uint32_t from_clock,
-                       uint32_t from_epoch, const async::UpdateBatch& batch) {
-    AsyncPrPartition& part = parts[p];
-    part.store.ObserveClock(from, from_clock);
-    async::ForEachUpdate<PrBoundaryUpdate>(batch, [&](const PrBoundaryUpdate& u) {
-      const auto put =
-          part.store.Put(from, u.vertex, u.contribution, from_clock, from_epoch);
-      if (!put.applied) return;  // out-of-order stale delivery
-      part.ext[local_of[u.vertex]] +=
-          u.contribution - put.replaced.value_or(0.0);
-    });
-  });
-
-  engine.set_snapshot([&](uint32_t p, serde::Writer& w) {
-    const AsyncPrPartition& part = parts[p];
-    serde::Serde<std::vector<double>>::Write(w, part.ranks);
-    serde::Serde<std::vector<double>>::Write(w, part.ext);
-    part.store.SnapshotTo(w);
-  });
-  engine.set_restore([&](uint32_t p, serde::Reader& r) {
-    AsyncPrPartition& part = parts[p];
-    AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, part.ranks).ok());
-    AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, part.ext).ok());
-    AMR_CHECK(part.store.RestoreFrom(r).ok());
-    // Re-announce everything: the receivers' views of this partition belong
-    // to the dead epoch.
-    for (size_t b = 0; b < part.boundary.size(); ++b) force_resend(part, b);
-  });
-  engine.set_on_peer_restart([&](uint32_t q, uint32_t restarted) {
-    AsyncPrPartition& part = parts[q];
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      if (part.boundary[b].peer == restarted) force_resend(part, b);
-    }
+    const std::vector<double>& ranks = exchange.part(p).x;
+    const std::vector<double>& inv = inv_outdeg[p];
+    exchange.Iterate(
+        p, ctx, [&](uint32_t i) { return ranks[i] * inv[i]; },
+        [&](uint32_t, double acc, double ext) {
+          return (1.0 - chi) + chi * (acc + ext);
+        });
   });
 
   async::AsyncResult engine_result = engine.Run();
   if (engine_stats != nullptr) *engine_stats = engine_result;
 
   PageRankResult result;
-  result.ranks.assign(n, 1.0);
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    for (uint32_t i = 0; i < parts[p].members.size(); ++i) {
-      result.ranks[parts[p].members[i]] = parts[p].ranks[i];
-    }
-  }
+  result.ranks = exchange.Gather();
   result.converged = engine_result.converged;
   result.trace = AsyncRunTrace("async-pagerank", engine_result);
   return result;

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <queue>
-#include <tuple>
-#include <unordered_map>
 
 #include "apps/app_common.hpp"
+#include "apps/boundary_exchange.hpp"
 #include "core/partial_sync_job.hpp"
 #include "core/partition_io.hpp"
 #include "graph/graph_io.hpp"
@@ -357,14 +355,9 @@ struct AsyncSsspPartition {
   // Internal weighted adjacency: per member, (target vertex, weight).
   std::vector<std::vector<std::pair<graph::VertexId, double>>> internal;
   uint64_t internal_edges = 0;
-  // Boundary out-edges grouped by consuming partition: (source, target, w).
-  struct BoundaryGroup {
-    uint32_t peer = 0;
-    std::vector<std::tuple<graph::VertexId, graph::VertexId, double>> edges;
-  };
-  std::vector<BoundaryGroup> boundary;
-  // Best candidate already pushed per boundary target (monotone decreasing).
-  std::vector<std::unordered_map<graph::VertexId, double>> best_sent;
+  // Cut edges in source-major order, one candidate per edge; each target's
+  // filter entry is the best candidate pushed (monotone decreasing).
+  BoundaryExchange<WeightedCutEdge> exchange;
 };
 
 }  // namespace
@@ -382,9 +375,7 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
     AsyncSsspPartition& part = parts[p];
     part.members = members[p];
     part.internal.resize(part.members.size());
-    std::map<uint32_t,
-             std::vector<std::tuple<graph::VertexId, graph::VertexId, double>>>
-        boundary;
+    std::map<uint32_t, std::vector<WeightedCutEdge>> cut;
     for (size_t i = 0; i < part.members.size(); ++i) {
       const graph::VertexId u = part.members[i];
       const auto neighbors = g.OutNeighbors(u);
@@ -396,14 +387,11 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
           part.internal[i].emplace_back(t, w);
           ++part.internal_edges;
         } else {
-          boundary[partitioning.part_of[t]].emplace_back(u, t, w);
+          cut[partitioning.part_of[t]].push_back({u, t, w});
         }
       }
     }
-    for (auto& [q, edges] : boundary) {
-      part.boundary.push_back({q, std::move(edges)});
-    }
-    part.best_sent.resize(part.boundary.size());
+    part.exchange = BoundaryExchange<WeightedCutEdge>(std::move(cut));
   }
 
   SsspResult result;
@@ -426,23 +414,6 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   engine_config.checkpoint_interval = config.async_checkpoint_interval;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
-
-  // Recovery re-announcement: marks one boundary group's best-sent cache so
-  // every candidate is re-pushed. Distances only shrink, so dead-epoch facts
-  // a crashed worker pushed remain true — but the restarted worker itself
-  // rolled back to older (larger) distances and needs its in-peers'
-  // candidates again.
-  auto force_resend = [](AsyncSsspPartition& part, size_t b) {
-    for (auto& [target, best] : part.best_sent[b]) {
-      best = std::numeric_limits<double>::infinity();
-    }
-  };
-
-  engine.set_out_peers([&](uint32_t p) {
-    std::vector<uint32_t> peers;
-    for (const auto& group : parts[p].boundary) peers.push_back(group.peer);
-    return peers;
-  });
 
   engine.set_compute([&](uint32_t p, async::AsyncContext& ctx) {
     AsyncSsspPartition& part = parts[p];
@@ -469,22 +440,14 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
     }
     ctx.set_residual(static_cast<double>(changed));
 
-    // Push improved cross-partition candidates only.
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      const auto& group = part.boundary[b];
-      for (const auto& [u, t, w] : group.edges) {
-        const double d = dist[u];
-        if (d == kInfDistance) continue;
-        const double cand = d + w;
-        auto [it, inserted] = part.best_sent[b].try_emplace(t, cand);
-        if (!inserted) {
-          if (cand >= it->second - kEps) continue;
-          it->second = cand;
-        }
-        ctx.Emit(group.peer, SsspCandidateUpdate{t, cand});
-      }
-      ops += group.edges.size();
-    }
+    // Push improved cross-partition candidates only. An unreached source
+    // offers +inf, which no filter entry admits.
+    ops += part.exchange.PushPerEdge(
+        [&](const WeightedCutEdge& e) { return dist[e.source] + e.weight; },
+        [](double cand, double best) { return cand < best - kEps; },
+        [&](uint32_t peer, graph::VertexId t, double cand) {
+          ctx.Emit(peer, SsspCandidateUpdate{t, cand});
+        });
     ctx.AddOps(ops);
   });
 
@@ -507,20 +470,22 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
     for (graph::VertexId v : part.members) slice.push_back(dist[v]);
     serde::Serde<std::vector<double>>::Write(w, slice);
   });
-  engine.set_restore([&](uint32_t p, serde::Reader& r) {
-    AsyncSsspPartition& part = parts[p];
-    std::vector<double> slice;
-    AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, slice).ok());
-    AMR_CHECK_EQ(slice.size(), part.members.size());
-    for (size_t i = 0; i < slice.size(); ++i) dist[part.members[i]] = slice[i];
-    for (size_t b = 0; b < part.boundary.size(); ++b) force_resend(part, b);
-  });
-  engine.set_on_peer_restart([&](uint32_t q, uint32_t restarted) {
-    AsyncSsspPartition& part = parts[q];
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      if (part.boundary[b].peer == restarted) force_resend(part, b);
-    }
-  });
+  // Restore re-announces every candidate, and so does a peer's restart
+  // toward it. Distances only shrink, so dead-epoch facts a crashed worker
+  // pushed remain true — but the restarted worker itself rolled back to
+  // older (larger) distances and needs its in-peers' candidates again.
+  InstallBoundaryExchange(
+      engine,
+      [&](uint32_t p) -> BoundaryExchange<WeightedCutEdge>& {
+        return parts[p].exchange;
+      },
+      [&](uint32_t p, serde::Reader& r) {
+        const AsyncSsspPartition& part = parts[p];
+        std::vector<double> slice;
+        AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, slice).ok());
+        AMR_CHECK_EQ(slice.size(), part.members.size());
+        for (size_t i = 0; i < slice.size(); ++i) dist[part.members[i]] = slice[i];
+      });
 
   async::AsyncResult engine_result = engine.Run();
   if (engine_stats != nullptr) *engine_stats = engine_result;

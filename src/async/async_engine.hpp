@@ -480,13 +480,17 @@ class AsyncEngine {
   /// re-announcement (epoch-aware StateStore::Put replaces it) closes every
   /// eps-sized delta-filter gap.
   using RestoreFn = std::function<void(uint32_t partition, serde::Reader& r)>;
-  /// Notifies `partition` that `restarted_peer` (one of the partitions it
-  /// sends to) lost its in-memory state and resumed from a checkpoint: the
-  /// app must force its delta filter TOWARD that peer so the next iteration
-  /// re-announces every boundary key (the peer's restored view of this
-  /// partition is stale). Apps whose re-announcement cannot cover every key
-  /// can additionally drop the peer's dead-epoch state with
-  /// StateStore::DropPeer. The engine schedules the forced iteration itself.
+  /// Tells `partition` that its view at `restarted_peer` (one of the
+  /// partitions it sends to) can no longer be trusted, so the app must force
+  /// its delta filter TOWARD that peer and the next iteration re-announces
+  /// every boundary key. Despite the name, the engine calls it for three
+  /// causes: the peer restarted from a checkpoint (its restored view of this
+  /// partition is stale), a batch to the peer was abandoned after its last
+  /// retry (the lost records are superseded, not resent), and a healed
+  /// partition window that had severed the two (anything pending across it
+  /// is gone). Graph apps get this from BoundaryExchange::ForceResendTo via
+  /// apps::InstallBoundaryExchange. The engine schedules the forced
+  /// iteration itself, even for a worker at its iteration cap.
   using PeerRestartFn =
       std::function<void(uint32_t partition, uint32_t restarted_peer)>;
 

@@ -174,6 +174,52 @@ TEST(Adversarial, CrashDuringPartitionStillConvergesToOracle) {
   EXPECT_LT(MaxDiff(result.ranks, apps::SerialPageRank(g, config)), 1e-3);
 }
 
+TEST(Adversarial, CrashWithLabelsInFlightReannouncesAfterRestore) {
+  // A crashed sender's in-flight batches die as dead-epoch, yet its delta
+  // filter recorded them as sent. Unless the restore re-announces, the
+  // restored worker recomputes the same minimum label, the filter silences
+  // it, and the receiver keeps a larger label for good. Sixteen disjoint
+  // paths, each crossing all sixteen partitions from a different start, keep
+  // every worker's final-label batch in flight over slow links while rare
+  // crashes strike; a later crash of the receiver would mask the loss, so
+  // several seeds run.
+  constexpr uint32_t kParts = 16, kSegment = 2;
+  constexpr uint32_t kPathLength = kParts * kSegment;
+  const uint32_t n = kParts * kPathLength;
+  std::vector<graph::Edge> edges;
+  graph::Partitioning part;
+  part.num_parts = kParts;
+  part.part_of.resize(n);
+  for (uint32_t k = 0; k < kParts; ++k) {
+    for (uint32_t j = 0; j < kPathLength; ++j) {
+      const uint32_t v = k * kPathLength + j;  // ids ascend along the path
+      part.part_of[v] = (k + j / kSegment) % kParts;
+      if (j + 1 < kPathLength) edges.push_back({v, v + 1});
+    }
+  }
+  const auto g = graph::Digraph::FromEdges(n, std::move(edges));
+  const auto oracle = apps::SerialComponents(apps::Symmetrized(g));
+  apps::ComponentsConfig config;
+  config.async_checkpoint_interval = 2;
+  uint32_t restarts = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    auto spec = QuietSpec();
+    spec.seed = seed;
+    spec.worker_crash_rate = 0.03;
+    spec.worker_restart_delay_s = 0.5;
+    spec.topology.intra_rack_latency_s = 0.1;
+    spec.topology.inter_rack_latency_s = 0.1;
+    cluster::SimCluster sim(spec);
+    async::AsyncResult stats;
+    const auto result = apps::AsyncComponents(sim, g, part, config,
+                                              async::kUnboundedStaleness, &stats);
+    restarts += stats.worker_restarts;
+    EXPECT_TRUE(result.converged) << "seed " << seed;
+    EXPECT_EQ(result.labels, oracle) << "seed " << seed;
+  }
+  EXPECT_GT(restarts, 0u);
+}
+
 TEST(Adversarial, SafraBalanceHoldsUnderLossyLinks) {
   // Termination soundness under per-flow drops: every wire attempt is a
   // batches_sent at the sender and every terminal outcome a batches_received

@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <map>
+#include <tuple>
 
+#include "apps/boundary_exchange.hpp"
 #include "apps/components.hpp"
 #include "apps/jacobi.hpp"
 #include "apps/kmeans.hpp"
@@ -238,6 +243,157 @@ TEST(StateStore, RejectsStaleOutOfOrderWrites) {
   // Equal clocks (idempotent redelivery) are accepted.
   EXPECT_TRUE(store.Put(0, 7, 3.5, /*clock=*/3).applied);
   EXPECT_EQ(store.view(0).at(7).value, 3.5);
+}
+
+// --- boundary exchange -------------------------------------------------------
+
+using SumExchange = apps::BoundaryExchange<apps::CutEdge>;
+using PushedKey = std::pair<uint32_t, graph::VertexId>;  // (peer, target)
+
+// One partition's cut edges toward peers 7 and 2, in build order.
+SumExchange TwoPeerExchange() {
+  std::map<uint32_t, std::vector<apps::CutEdge>> cut;
+  cut[7] = {{40, 0}, {30, 1}, {40, 2}};
+  cut[2] = {{11, 0}, {10, 3}};
+  return SumExchange(std::move(cut));
+}
+
+double SourcePlusOne(const apps::CutEdge& e) { return e.source + 1.0; }
+
+// One push of each target's sum of (source + 1) through a filter that
+// passes any change; returns what went out.
+std::vector<PushedKey> PushChanged(SumExchange& exchange) {
+  std::vector<PushedKey> pushed;
+  exchange.PushFolded(
+      0.0, SourcePlusOne, std::plus<>(),
+      [](double sum, double sent) { return sum != sent; },
+      [&](uint32_t peer, graph::VertexId t, double) { pushed.emplace_back(peer, t); });
+  return pushed;
+}
+
+TEST(BoundaryExchange, GroupsAscendByPeerWithTargetSortedOrdinals) {
+  SumExchange exchange = TwoPeerExchange();
+  EXPECT_EQ(exchange.OutPeers(), (std::vector<uint32_t>{2, 7}));
+  ASSERT_EQ(exchange.groups().size(), 2u);
+  const auto& group = exchange.groups()[1];
+  EXPECT_EQ(group.peer, 7u);
+  EXPECT_EQ(group.sent.size(), 2u);  // one filter entry per distinct target
+  std::vector<std::tuple<size_t, graph::VertexId, double>> folded;
+  SumExchange::FoldTargets(group, 0.0, SourcePlusOne, std::plus<>(),
+                           [&](size_t k, graph::VertexId t, double sum) {
+                             folded.emplace_back(k, t, sum);
+                           });
+  // Target 30 gets ordinal 0; target 40 folds sources 0 and 2 at ordinal 1.
+  EXPECT_EQ(folded, (std::vector<std::tuple<size_t, graph::VertexId, double>>{
+                        {0, 30, 2.0}, {1, 40, 4.0}}));
+}
+
+TEST(BoundaryExchange, SourceMajorGroupKeepsEdgeOrderWithTargetOrdinals) {
+  std::map<uint32_t, std::vector<apps::WeightedCutEdge>> cut;
+  cut[5] = {{0, 9, 1.0}, {0, 4, 1.0}, {1, 9, 2.0}, {3, 6, 1.0}};
+  apps::BoundaryExchange<apps::WeightedCutEdge> exchange(std::move(cut));
+  const auto& group = exchange.groups()[0];
+  EXPECT_EQ(group.edges[2].source, 1u);  // build order kept
+  // Ordinals rank the distinct targets: 4 -> 0, 6 -> 1, 9 -> 2.
+  EXPECT_EQ(group.ordinal, (std::vector<uint32_t>{2, 0, 2, 1}));
+  EXPECT_EQ(group.sent.size(), 3u);
+  // SSSP's filter, edge by edge: the second candidate for target 9 (3.0)
+  // does not improve on the 1.0 already pushed.
+  std::vector<std::pair<graph::VertexId, double>> pushed;
+  exchange.PushPerEdge(
+      [](const apps::WeightedCutEdge& e) { return e.source + e.weight; },
+      [](double cand, double best) { return cand < best; },
+      [&](uint32_t, graph::VertexId t, double cand) { pushed.emplace_back(t, cand); });
+  EXPECT_EQ(pushed, (std::vector<std::pair<graph::VertexId, double>>{
+                        {9, 1.0}, {4, 1.0}, {6, 4.0}}));
+}
+
+TEST(BoundaryExchange, FirstPushOfEveryTargetGoesOut) {
+  // A filter that silences changes up to 1.0 still lets every first value
+  // through, zeros included: the filter starts at "never sent".
+  SumExchange exchange = TwoPeerExchange();
+  const auto push_zeros = [&] {
+    std::vector<PushedKey> pushed;
+    exchange.PushFolded(
+        0.0, [](const apps::CutEdge&) { return 0.0; }, std::plus<>(),
+        [](double sum, double sent) { return std::abs(sum - sent) > 1.0; },
+        [&](uint32_t peer, graph::VertexId t, double) { pushed.emplace_back(peer, t); });
+    return pushed;
+  };
+  EXPECT_EQ(push_zeros(), (std::vector<PushedKey>{{2, 10}, {2, 11}, {7, 30}, {7, 40}}));
+  EXPECT_TRUE(push_zeros().empty());
+  // The integer filter's sentinel lies above every label.
+  EXPECT_EQ((apps::BoundaryExchange<apps::CutEdge, uint32_t>::kNeverSent),
+            std::numeric_limits<uint32_t>::max());
+}
+
+TEST(BoundaryExchange, ForceResendToTouchesOnlyThatPeersGroup) {
+  SumExchange exchange = TwoPeerExchange();
+  ASSERT_EQ(PushChanged(exchange).size(), 4u);
+  ASSERT_TRUE(PushChanged(exchange).empty());
+  exchange.ForceResendTo(7);
+  EXPECT_EQ(PushChanged(exchange), (std::vector<PushedKey>{{7, 30}, {7, 40}}));
+  // No cut edge to peer 3 or 9: nothing to re-announce.
+  exchange.ForceResendTo(3);
+  exchange.ForceResendTo(9);
+  EXPECT_TRUE(PushChanged(exchange).empty());
+}
+
+TEST(BoundaryExchange, ForceResendTouchesEveryGroup) {
+  SumExchange exchange = TwoPeerExchange();
+  ASSERT_EQ(PushChanged(exchange).size(), 4u);
+  exchange.ForceResend();
+  EXPECT_EQ(PushChanged(exchange),
+            (std::vector<PushedKey>{{2, 10}, {2, 11}, {7, 30}, {7, 40}}));
+}
+
+TEST(BoundaryExchange, SeedRecordsEveryFoldedValueAsSent) {
+  SumExchange exchange = TwoPeerExchange();
+  std::vector<std::tuple<uint32_t, graph::VertexId, double>> seeded;
+  exchange.SeedFolded(0.0, SourcePlusOne, std::plus<>(),
+                      [&](uint32_t peer, graph::VertexId t, double sum) {
+                        seeded.emplace_back(peer, t, sum);
+                      });
+  EXPECT_EQ(seeded, (std::vector<std::tuple<uint32_t, graph::VertexId, double>>{
+                        {2, 10, 4.0}, {2, 11, 1.0}, {7, 30, 2.0}, {7, 40, 4.0}}));
+  // The seeded sums count as sent: pushing the same sums sends nothing.
+  EXPECT_TRUE(PushChanged(exchange).empty());
+}
+
+TEST(BoundaryExchange, InstallWiresOutPeersRestoreAndPeerRestart) {
+  // Records the hooks the way AsyncEngine stores them.
+  struct HookRecorder {
+    async::AsyncEngine::OutPeersFn out_peers;
+    async::AsyncEngine::RestoreFn restore;
+    async::AsyncEngine::PeerRestartFn on_peer_restart;
+    void set_out_peers(async::AsyncEngine::OutPeersFn fn) { out_peers = std::move(fn); }
+    void set_restore(async::AsyncEngine::RestoreFn fn) { restore = std::move(fn); }
+    void set_on_peer_restart(async::AsyncEngine::PeerRestartFn fn) {
+      on_peer_restart = std::move(fn);
+    }
+  };
+  std::vector<SumExchange> exchanges;
+  exchanges.push_back(TwoPeerExchange());
+  exchanges.push_back(TwoPeerExchange());
+  std::vector<uint32_t> restored;
+  HookRecorder engine;
+  apps::InstallBoundaryExchange(
+      engine, [&](uint32_t p) -> SumExchange& { return exchanges[p]; },
+      [&](uint32_t p, serde::Reader&) { restored.push_back(p); });
+  for (SumExchange& exchange : exchanges) ASSERT_EQ(PushChanged(exchange).size(), 4u);
+
+  EXPECT_EQ(engine.out_peers(1), (std::vector<uint32_t>{2, 7}));
+  engine.on_peer_restart(0, 2);
+  EXPECT_EQ(PushChanged(exchanges[0]), (std::vector<PushedKey>{{2, 10}, {2, 11}}));
+  EXPECT_TRUE(PushChanged(exchanges[1]).empty());
+  // Restore runs the app's hook, then re-announces every group of that
+  // partition only.
+  const serde::Buffer empty;
+  serde::Reader r(empty);
+  engine.restore(1, r);
+  EXPECT_EQ(restored, (std::vector<uint32_t>{1}));
+  EXPECT_TRUE(PushChanged(exchanges[0]).empty());
+  EXPECT_EQ(PushChanged(exchanges[1]).size(), 4u);
 }
 
 // --- generalized update payload ----------------------------------------------
