@@ -2,49 +2,49 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 
 #include "common/logging.hpp"
 
 namespace asyncmr::async {
 
+namespace {
+
+/// Sender-side retry for update batches whose flow FAILED (dropped by a lossy
+/// link, killed or timed out by a partition). Attempt k waits
+/// min(kRetryBackoffBaseS * 2^k, kRetryBackoffMaxS) * (1 + jitter), jitter
+/// uniform in [0, kRetryJitterFrac). After kMaxBatchRetries attempts the
+/// batch is abandoned and the sender's delta filter is forced to re-announce
+/// toward that peer instead (the repair path a peer restart uses), so no
+/// update is ever silently lost. Retries draw RNG and schedule events only
+/// when a flow actually fails: with all link-fault knobs off, runs stay
+/// bit-identical.
+constexpr uint32_t kMaxBatchRetries = 16;
+constexpr double kRetryBackoffBaseS = 0.05;
+constexpr double kRetryBackoffMaxS = 10.0;
+constexpr double kRetryJitterFrac = 0.2;
+
+}  // namespace
+
 AsyncEngine::AsyncEngine(cluster::SimCluster& cluster, uint32_t num_partitions,
                          AsyncConfig config)
     : cluster_(cluster),
       num_partitions_(num_partitions),
       config_(std::move(config)),
+      termination_(cluster, config_.name, config_, config_.obs.trace,
+             {.size = num_partitions,
+              .node_of = [this](uint32_t p) { return workers_[p].node; },
+              .node_down = [this](net::NodeId n) { return NodeDownNow(n); },
+              .visit = [this](uint32_t p,
+                              ProgressToken& t) { VisitForToken(p, t); },
+              .total_restarts = [this] { return TotalRestarts(); },
+              .on_proved = [this](const ProgressToken& t) { Finish(t); }}),
       checkpoints_(cluster.dfs()) {
-  AMR_CHECK(num_partitions_ > 0) << "async engine needs at least one partition";
+  // termination_ has already rejected num_partitions == 0.
   workers_.resize(num_partitions_);
   for (uint32_t p = 0; p < num_partitions_; ++p) {
-    workers_[p].node = NodeOfPartition(p);
+    workers_[p].node = p % cluster_.spec().num_nodes();  // round-robin
   }
-}
-
-AsyncEngine::~AsyncEngine() {
-  // Detach everything InstallObservability leaked into longer-lived objects:
-  // the trace pointers installed into the cluster/network would dangle once
-  // the caller's sink dies, and the metric probes capture `this`.
-  if (trace_installed_) {
-    cluster_.network().set_trace(nullptr);
-    cluster_.set_trace(nullptr);
-  }
-  if (config_.obs.metrics != nullptr) {
-    for (size_t id : metric_probe_ids_) config_.obs.metrics->RemoveProbe(id);
-  }
-  // The token handlers capture `this`; they must not outlive the engine in
-  // the longer-lived cluster.
-  if (!handlers_registered_) return;
-  // Mirror RegisterTokenHandlers: handlers live on every node so the token
-  // can chase relaunched workers anywhere.
-  for (net::NodeId node = 0; node < cluster_.spec().num_nodes(); ++node) {
-    cluster_.rpc().UnregisterHandler(node, TokenMethod());
-  }
-}
-
-net::NodeId AsyncEngine::NodeOfPartition(uint32_t p) const {
-  return p % cluster_.spec().num_nodes();
 }
 
 void AsyncEngine::BuildTopology() {
@@ -114,11 +114,11 @@ bool AsyncEngine::KeepaliveDue(const Worker& w, uint32_t p) const {
   if (config_.staleness_bound == kUnboundedStaleness || w.capped) return false;
   if (clocks_[p].peers().empty()) return false;
   return static_cast<uint64_t>(clocks_[p].max_clock()) >
-         static_cast<uint64_t>(w.iterations) + config_.staleness_bound;
+         static_cast<uint64_t>(w.stats.iterations) + config_.staleness_bound;
 }
 
 void AsyncEngine::TryStartIteration(uint32_t p) {
-  if (finished_) return;
+  if (finished()) return;
   Worker& w = workers_[p];
   if (w.phase != WorkerPhase::kIdle && w.phase != WorkerPhase::kBlocked) return;
   const bool was_blocked = w.phase == WorkerPhase::kBlocked;
@@ -126,14 +126,15 @@ void AsyncEngine::TryStartIteration(uint32_t p) {
   // a capped sender take the recovery re-announce iteration the protocol
   // depends on: the cap bounds convergence work, and without this the
   // restored peer would recompute against permanently stale input.
-  if (w.iterations >= config_.max_iterations_per_worker && !w.force_iteration) {
+  if (w.stats.iterations >= config_.max_iterations_per_worker &&
+      !w.force_iteration) {
     if (was_blocked) EmitBlockedSpan(p);
     w.capped = true;
     w.phase = WorkerPhase::kIdle;
     return;
   }
   if (config_.staleness_bound != kUnboundedStaleness &&
-      !GateAdmits(p, w.iterations + 1)) {
+      !GateAdmits(p, w.stats.iterations + 1)) {
     if (!was_blocked) {
       w.blocked_since = cluster_.now();
       ArmSuspicionTimer(p);
@@ -145,15 +146,15 @@ void AsyncEngine::TryStartIteration(uint32_t p) {
   w.phase = WorkerPhase::kWaitingSlot;
   const uint32_t epoch = w.epoch;
   const net::NodeId node = w.node;
-  cluster_.AcquireSlot(node, config_.slot_type,
+  cluster_.AcquireSlot(node, kSlot,
                        [this, p, epoch, node] { BeginCompute(p, epoch, node); });
 }
 
 void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
                                net::NodeId grant_node) {
   Worker& w = workers_[p];
-  if (finished_) {
-    cluster_.ReleaseSlot(grant_node, config_.slot_type);
+  if (finished()) {
+    cluster_.ReleaseSlot(grant_node, kSlot);
     return;
   }
   if (w.epoch != epoch || w.phase != WorkerPhase::kWaitingSlot) {
@@ -161,7 +162,7 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
     // replacement — possibly relocated to another node — may already hold or
     // await another slot): the grant goes straight back to the node that
     // made it.
-    cluster_.ReleaseSlot(grant_node, config_.slot_type);
+    cluster_.ReleaseSlot(grant_node, kSlot);
     return;
   }
   // Live path: relocation always bumps the epoch, so the guard above proves
@@ -171,8 +172,8 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
   // application compute and just carry the residual — charging a full block
   // solve would distort the async cost model.
   const bool keepalive_only =
-      w.iterations > 0 && !w.pending_input &&
-      w.ledger.last_residual < config_.convergence_threshold;
+      w.stats.iterations > 0 && !w.pending_input &&
+      w.stats.last_residual < config_.convergence_threshold;
 
   w.phase = WorkerPhase::kComputing;
   w.pending_input = false;
@@ -192,11 +193,11 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
   for (UpdateBatch& b : w.out) b.clear();
   AsyncContext ctx;
   ctx.partition_ = p;
-  ctx.iteration_ = w.iterations + 1;
+  ctx.iteration_ = w.stats.iterations + 1;
   ctx.peers_ = &send_peers_[p];
   ctx.slots_ = &w.out;
   if (keepalive_only) {
-    ctx.residual_ = w.ledger.last_residual;
+    ctx.residual_ = w.stats.last_residual;
   } else {
     compute_(p, ctx);
   }
@@ -242,17 +243,17 @@ void AsyncEngine::FinishCompute(uint32_t p, uint32_t epoch, uint64_t ops,
     // it (nothing was sent yet) and CrashWorker already freed the slot.
     return;
   }
-  cluster_.ReleaseSlot(w.node, config_.slot_type);
-  ++w.iterations;
-  w.ops += ops;
-  w.merge_ops += merge_ops;
-  w.ledger.last_residual = residual;
-  w.ledger.dirty = true;
+  cluster_.ReleaseSlot(w.node, kSlot);
+  ++w.stats.iterations;
+  w.stats.ops += ops;
+  w.stats.merge_ops += merge_ops;
+  w.stats.last_residual = residual;
+  w.dirty = true;
   if (config_.obs.trace != nullptr) {
     config_.obs.trace->Span(w.keepalive ? "keepalive" : "compute", "worker",
                             obs::kPidWorkers, p, w.compute_started_at,
                             cluster_.now(),
-                            {"iter", static_cast<double>(w.iterations)},
+                            {"iter", static_cast<double>(w.stats.iterations)},
                             {"ops", static_cast<double>(ops)});
   }
 
@@ -261,7 +262,7 @@ void AsyncEngine::FinishCompute(uint32_t p, uint32_t epoch, uint64_t ops,
   // peer as before). Each non-empty batch is moved, not copied, into its
   // network payload (or merged into the edge's pending batch when
   // coalescing); the emptied slots are reused next iteration.
-  const uint32_t clock = w.iterations;
+  const uint32_t clock = w.stats.iterations;
   const std::vector<uint32_t>& peers = send_peers_[p];
   if (config_.staleness_bound != kUnboundedStaleness) {
     // Bounded window: every peer edge carries the new clock each iteration,
@@ -276,7 +277,7 @@ void AsyncEngine::FinishCompute(uint32_t p, uint32_t epoch, uint64_t ops,
   }
 
   if (snapshot_ && config_.checkpoint_interval > 0 &&
-      w.iterations % config_.checkpoint_interval == 0) {
+      w.stats.iterations % config_.checkpoint_interval == 0) {
     TakeCheckpoint(p, /*free_write=*/false);
   }
 
@@ -292,7 +293,7 @@ void AsyncEngine::OnBatchDelivered(uint32_t to, uint32_t from,
                                    const UpdateBatch& batch, uint64_t flow_id) {
   Worker& w = workers_[to];
   if (config_.obs.trace != nullptr && flow_id != 0) {
-    // Arrow head at the receiver, bound to the FlowBegin LaunchBatch emitted
+    // Arrow head at the receiver, bound to the FlowBegin OpenFlow emitted
     // (dropped deliveries still get their arrow — the network moved the
     // bytes either way).
     config_.obs.trace->FlowEnd("batch", "net", obs::kPidWorkers, to,
@@ -301,9 +302,9 @@ void AsyncEngine::OnBatchDelivered(uint32_t to, uint32_t from,
   // Every delivery counts as received, applied or not: the sender counted it
   // at send time, and the Safra proof needs the global sums to balance. The
   // counters belong to the node runtime, not the (crashable) worker process.
-  ++w.ledger.batches_received;
+  ++w.stats.batches_received;
   AMR_IF_AUDIT(--audit_batch_flows_in_flight_;);
-  w.ledger.dirty = true;
+  w.dirty = true;
   if (w.phase == WorkerPhase::kDown) return;  // process down: delivery lost
   if (from_epoch != workers_[from].epoch) {
     // In flight when its sender crashed. The replacement's trajectory
@@ -314,7 +315,7 @@ void AsyncEngine::OnBatchDelivered(uint32_t to, uint32_t from,
   if (!batch.empty()) {
     // Staleness lag at apply time: how far the receiver's clock had advanced
     // past the sender's when it emitted. Negative = sender ahead.
-    staleness_[to].Add(static_cast<double>(w.iterations) -
+    staleness_.Add(static_cast<double>(w.stats.iterations) -
                        static_cast<double>(from_clock));
     apply_(to, from, from_clock, from_epoch, batch);
     w.pending_input = true;
@@ -329,15 +330,12 @@ void AsyncEngine::OnBatchDelivered(uint32_t to, uint32_t from,
       if (suspected_[to][idx] != 0) {
         suspected_[to][idx] = 0;
         --suspected_count_[to];
-        if (config_.obs.trace != nullptr) {
-          config_.obs.trace->Instant("peer-healed", "fault", obs::kPidWorkers,
-                                     to, cluster_.now(),
-                                     {"peer", static_cast<double>(from)});
-        }
+        TraceWorker("peer-healed", "fault", to,
+                    {"peer", static_cast<double>(from)});
       }
     }
   }
-  if (finished_) return;
+  if (finished()) return;
   if (w.phase == WorkerPhase::kBlocked ||
       (w.phase == WorkerPhase::kIdle && (w.pending_input || KeepaliveDue(w, to)))) {
     TryStartIteration(to);
@@ -360,24 +358,15 @@ void AsyncEngine::EmitBatch(uint32_t p, size_t peer_index, UpdateBatch batch,
       link.pending.records += batch.records;
       link.pending_clock = clock;
       link.has_pending = true;
-      ++w.coalesced_batches;
-      ++total_coalesced_;
-      w.coalesced_bytes_saved += config_.update_envelope_bytes;
-      total_coalesced_bytes_saved_ += config_.update_envelope_bytes;
+      ++w.stats.coalesced_batches;
+      w.stats.coalesced_bytes_saved += kUpdateEnvelopeBytes;
       return;
     }
     link.in_flight = true;
   }
-  LaunchBatch(p, peer_index, std::move(batch), clock);
-}
-
-void AsyncEngine::LaunchBatch(uint32_t p, size_t peer_index, UpdateBatch batch,
-                              uint32_t clock) {
-  Worker& w = workers_[p];
-  w.records_sent += batch.records;
-  total_records_ += batch.records;
-  auto payload = std::make_shared<UpdateBatch>(std::move(batch));
-  OpenFlow(p, peer_index, std::move(payload), clock, w.epoch, /*attempt=*/0);
+  w.stats.records_sent += batch.records;
+  OpenFlow(p, peer_index, std::make_shared<UpdateBatch>(std::move(batch)),
+           clock, w.epoch, /*attempt=*/0);
 }
 
 void AsyncEngine::OpenFlow(uint32_t p, size_t peer_index,
@@ -388,11 +377,10 @@ void AsyncEngine::OpenFlow(uint32_t p, size_t peer_index,
   // Every wire attempt counts as sent — and every terminal outcome counts as
   // received (the receiver acks a delivery, the SENDER self-acks a failure in
   // OnFlowFailed) — so the Safra sums always balance, retries included.
-  ++w.ledger.batches_sent;
+  ++w.stats.batches_sent;
   AMR_IF_AUDIT(++audit_batch_flows_in_flight_;);
-  ++total_batches_;
-  const uint64_t bytes = config_.update_envelope_bytes + payload->payload.size();
-  total_bytes_ += bytes;
+  const uint64_t bytes = kUpdateEnvelopeBytes + payload->payload.size();
+  result_.bytes_sent += bytes;
   uint64_t fid = 0;
   if (config_.obs.trace != nullptr) {
     // Arrow tail at the sender, bound to the id Transfer is about to assign
@@ -422,35 +410,31 @@ void AsyncEngine::OnFlowFailed(uint32_t p, size_t peer_index,
   // Sender self-ack: this attempt reached a terminal outcome, so it balances
   // its own sent count — mirroring the dead-epoch accounting, where the
   // node runtime acks batches the process never applied.
-  ++w.ledger.batches_received;
+  ++w.stats.batches_received;
   AMR_IF_AUDIT(--audit_batch_flows_in_flight_;);
-  ++w.flow_drops;
-  w.ledger.dirty = true;
-  if (finished_) return;
+  ++w.stats.flow_drops;
+  w.dirty = true;
+  if (finished()) return;
   if (w.epoch != epoch) return;  // dead incarnation; its restore re-announces
   const uint32_t q = send_peers_[p][peer_index];
-  if (attempt + 1 < config_.max_batch_retries) {
+  if (attempt + 1 < kMaxBatchRetries) {
     // Exponential backoff with jitter; the jitter draw happens only on an
     // actual retry, so fault-free runs never touch the RNG stream.
     double backoff = std::min(
-        config_.retry_backoff_base_s * std::pow(2.0, static_cast<double>(attempt)),
-        config_.retry_backoff_max_s);
-    backoff *= 1.0 + config_.retry_jitter_frac * cluster_.rng().NextDouble();
-    ++w.batch_retries;
-    w.retry_backoff_seconds += backoff;
+        kRetryBackoffBaseS * std::pow(2.0, static_cast<double>(attempt)),
+        kRetryBackoffMaxS);
+    backoff *= 1.0 + kRetryJitterFrac * cluster_.rng().NextDouble();
+    ++w.stats.batch_retries;
+    w.stats.retry_backoff_seconds += backoff;
     ++w.pending_retries;
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->Instant("batch-retry", "fault", obs::kPidWorkers, p,
-                                 cluster_.now(),
-                                 {"peer", static_cast<double>(q)},
-                                 {"attempt", static_cast<double>(attempt + 1)});
-    }
+    TraceWorker("batch-retry", "fault", p, {"peer", static_cast<double>(q)},
+                {"attempt", static_cast<double>(attempt + 1)});
     cluster_.queue().ScheduleAfter(
         backoff, [this, p, peer_index, payload, clock, epoch, attempt] {
           // The decrement is unconditional — exactly one per increment — so
           // the pending count stays exact across crashes and termination.
           --workers_[p].pending_retries;
-          if (finished_) return;
+          if (finished()) return;
           if (workers_[p].epoch != epoch) return;
           OpenFlow(p, peer_index, payload, clock, epoch, attempt + 1);
         });
@@ -459,14 +443,23 @@ void AsyncEngine::OnFlowFailed(uint32_t p, size_t peer_index,
   // Out of retries: drop the payload and repair by force-re-announcing
   // everything q gates on — the same path a peer restart uses, so the lost
   // records are superseded rather than resent.
-  ++w.batches_abandoned;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("batch-abandoned", "fault", obs::kPidWorkers, p,
-                               cluster_.now(),
-                               {"peer", static_cast<double>(q)});
-  }
+  ++w.stats.batches_abandoned;
+  TraceWorker("batch-abandoned", "fault", p, {"peer", static_cast<double>(q)});
   OnFlowDelivered(p, peer_index, epoch);  // free the coalescing edge
   ForceSenderReannounce(p, q);
+}
+
+void AsyncEngine::ScheduleRecurring(std::function<double()> next_delay,
+                                    std::function<void()> fire) {
+  const double delay = next_delay();
+  if (!std::isfinite(delay)) return;
+  cluster_.queue().ScheduleAfter(
+      delay, [this, next_delay = std::move(next_delay),
+              fire = std::move(fire)]() mutable {
+        if (finished()) return;
+        fire();
+        ScheduleRecurring(std::move(next_delay), std::move(fire));
+      });
 }
 
 void AsyncEngine::ForceSenderReannounce(uint32_t p, uint32_t q) {
@@ -474,7 +467,7 @@ void AsyncEngine::ForceSenderReannounce(uint32_t p, uint32_t q) {
   if (on_peer_restart_) on_peer_restart_(p, q);
   if (w.phase == WorkerPhase::kDown) return;
   w.pending_input = true;
-  w.ledger.dirty = true;
+  w.dirty = true;
   if (w.capped) {
     // Un-cap for the forced re-announce iteration (also keeps the worker
     // non-quiescent until it flows); TryStartIteration re-caps afterwards.
@@ -486,25 +479,6 @@ void AsyncEngine::ForceSenderReannounce(uint32_t p, uint32_t q) {
   }
 }
 
-void AsyncEngine::OnPartitionHealed(size_t window_index) {
-  if (finished_) return;
-  const net::Topology& topo = cluster_.network().topology();
-  const net::PartitionWindow& window = topo.config().partitions[window_index];
-  for (uint32_t p = 0; p < num_partitions_; ++p) {
-    for (uint32_t q : send_peers_[p]) {
-      if (!topo.WindowSevers(window, workers_[p].node, workers_[q].node)) {
-        continue;
-      }
-      ++heal_reannouncements_;
-      if (config_.obs.trace != nullptr) {
-        config_.obs.trace->Instant("heal-reannounce", "fault",
-                                   obs::kPidWorkers, p, cluster_.now(),
-                                   {"peer", static_cast<double>(q)});
-      }
-      ForceSenderReannounce(p, q);
-    }
-  }
-}
 
 // --- peer suspicion ----------------------------------------------------------
 
@@ -534,7 +508,7 @@ void AsyncEngine::ArmSuspicionTimer(uint32_t p) {
   const double since = workers_[p].blocked_since;
   cluster_.queue().ScheduleAfter(
       config_.suspicion_timeout_s, [this, p, epoch, since] {
-        if (finished_) return;
+        if (finished()) return;
         const Worker& w = workers_[p];
         // Only the very blocked stretch this timer was armed for counts; any
         // unblock (or crash) in between makes the timer stale.
@@ -548,7 +522,7 @@ void AsyncEngine::ArmSuspicionTimer(uint32_t p) {
 
 void AsyncEngine::SuspectBlockingPeers(uint32_t p) {
   Worker& w = workers_[p];
-  const int64_t need = static_cast<int64_t>(w.iterations) + 1 - 1 -
+  const int64_t need = static_cast<int64_t>(w.stats.iterations) + 1 - 1 -
                        static_cast<int64_t>(config_.staleness_bound);
   if (need <= 0) return;
   const ClockTable& table = clocks_[p];
@@ -559,14 +533,11 @@ void AsyncEngine::SuspectBlockingPeers(uint32_t p) {
     if (static_cast<int64_t>(clocks[i]) >= need) continue;
     suspected_[p][i] = 1;
     ++suspected_count_[p];
-    ++peers_suspected_total_;
+    ++result_.peers_suspected;
     any = true;
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->Instant("peer-suspected", "fault", obs::kPidWorkers,
-                                 p, cluster_.now(),
-                                 {"peer", static_cast<double>(table.peers()[i])},
-                                 {"clock", static_cast<double>(clocks[i])});
-    }
+    TraceWorker("peer-suspected", "fault", p,
+                {"peer", static_cast<double>(table.peers()[i])},
+                {"clock", static_cast<double>(clocks[i])});
   }
   if (any) TryStartIteration(p);
 }
@@ -578,7 +549,7 @@ void AsyncEngine::OnFlowDelivered(uint32_t p, size_t peer_index,
   if (w.epoch != epoch) return;  // sender restarted; CrashWorker reset links
   Worker::PeerLink& link = w.links[peer_index];
   link.in_flight = false;
-  if (!link.has_pending || finished_) return;
+  if (!link.has_pending || finished()) return;
   // The pending batch was never counted sent, so the Safra sums stayed
   // balanced around it; launching it here (same event as the delivery that
   // balanced the previous flow) re-opens the sent > received window before
@@ -586,698 +557,12 @@ void AsyncEngine::OnFlowDelivered(uint32_t p, size_t peer_index,
   UpdateBatch batch = std::move(link.pending);
   link.pending.clear();
   link.has_pending = false;
-  link.in_flight = true;
-  LaunchBatch(p, peer_index, std::move(batch), link.pending_clock);
+  EmitBatch(p, peer_index, std::move(batch), link.pending_clock);
 }
 
-// --- checkpoint/replay -------------------------------------------------------
+// --- termination hooks -------------------------------------------------------
 
-void AsyncEngine::TakeCheckpoint(uint32_t p, bool free_write) {
-  Worker& w = workers_[p];
-  WorkerSnapshot snap;
-  snap.partition = p;
-  snap.epoch = w.epoch;
-  snap.iterations = w.iterations;
-  snap.unmerged_records = w.unmerged_records;
-  snap.last_residual = w.ledger.last_residual;
-  if (config_.staleness_bound != kUnboundedStaleness) {
-    snap.peer_clocks = clocks_[p].clock_values();
-  }
-  serde::Buffer app_state;
-  serde::Writer app_writer(app_state);
-  snapshot_(p, app_writer);
-  snap.app_state.assign(reinterpret_cast<const char*>(app_state.data()),
-                        app_state.size());
-
-  serde::Buffer encoded = serde::Encode(snap);
-  // Round-trip the image before the store records its CRC (and before the
-  // corruption knob can touch it): see AuditCheckpointImage.
-  AMR_IF_AUDIT(AuditCheckpointImage(encoded);)
-  if (!free_write) {
-    ++w.checkpoints;
-    w.checkpoint_bytes += encoded.size();
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->Instant(
-          "checkpoint", "ckpt", obs::kPidWorkers, p, cluster_.now(),
-          {"iter", static_cast<double>(w.iterations)},
-          {"bytes", static_cast<double>(encoded.size())});
-    }
-  }
-  checkpoints_.Write(p, std::move(encoded), cluster_.now(), free_write);
-}
-
-void AsyncEngine::ScheduleNextCrash(uint32_t p) {
-  const double delay = cluster_.NextWorkerCrashDelay();
-  if (!std::isfinite(delay)) return;
-  cluster_.queue().ScheduleAfter(delay, [this, p] {
-    if (finished_) return;  // breaks the timer chain so the queue drains
-    // A crash timer firing while the worker is already down hits the dead
-    // process: nothing further to kill.
-    if (workers_[p].phase != WorkerPhase::kDown) {
-      CrashWorker(p, /*node_failure=*/false);
-    }
-    ScheduleNextCrash(p);
-  });
-}
-
-void AsyncEngine::FenceWorker(uint32_t p) {
-  Worker& w = workers_[p];
-  ++w.epoch;  // in-flight batches/grants/completions of the old epoch die
-  ++total_restarts_;
-  if (w.phase == WorkerPhase::kComputing) {
-    // Process death frees the slot immediately; the scheduled FinishCompute
-    // sees the epoch bump and drops out. A kWaitingSlot grant returns its
-    // slot when it fires (BeginCompute's epoch guard).
-    cluster_.ReleaseSlot(w.node, config_.slot_type);
-  }
-  w.phase = WorkerPhase::kDown;
-  w.pending_input = false;
-  w.force_iteration = false;
-  w.unmerged_records = 0;
-  w.ledger.dirty = true;  // taints any in-progress token circuit
-  // Coalescing state dies with the process: pending batches were never
-  // counted sent (the recovery re-announcement supersedes them), and the
-  // in-flight flags belong to dead-epoch flows whose landing callbacks will
-  // see the epoch bump and leave the restored links alone.
-  for (Worker::PeerLink& link : w.links) {
-    link.in_flight = false;
-    link.has_pending = false;
-    link.pending.clear();
-  }
-}
-
-void AsyncEngine::CrashWorker(uint32_t p, bool node_failure) {
-  Worker& w = workers_[p];
-  const WorkerPhase phase_at_crash = w.phase;
-  FenceWorker(p);
-
-  const double now = cluster_.now();
-  w.down_since = now;
-  if (!node_failure) {
-    // The dying incarnation's own write pipeline is aborted cleanly. In the
-    // node-failure case OnNodeCrash already marked those writes LOST (the
-    // durability, not just the incarnation, died with the machine).
-    checkpoints_.AbortPending(p, now);
-  }
-  if (NodeDownNow(w.node)) {
-    // The host machine is gone: relaunch on the best surviving node. When no
-    // node survives, stay put — RestoreWorker defers until the first repair.
-    const std::optional<net::NodeId> target = PickRelaunchNode(w.node);
-    if (target.has_value()) MoveWorker(p, *target);
-  }
-  // Verified pick: a corrupt newest snapshot is detected (and quarantined)
-  // here, falling back to the previous retained one — the pinned free
-  // initial snapshot is never corrupted, so a restore target always exists.
-  const serde::Buffer* snapshot = checkpoints_.LatestDurableVerified(p, now);
-  AMR_CHECK(snapshot != nullptr)
-      << "worker " << p << " crashed with no durable checkpoint (the engine "
-      << "writes a free initial snapshot at Run)";
-  const double restart_delay = cluster_.spec().worker_restart_delay_s;
-  const double delay = restart_delay + checkpoints_.ReadSeconds(*snapshot);
-  recovery_seconds_ += delay;
-  if (config_.obs.trace != nullptr) {
-    // The outage is future-dated at crash time: its length is already
-    // deterministic here, and this way a run that terminates mid-recovery
-    // still shows the outage that was in progress.
-    if (phase_at_crash == WorkerPhase::kBlocked) EmitBlockedSpan(p);
-    config_.obs.trace->Instant("crash", "fault", obs::kPidWorkers, p, now,
-                               {"epoch", static_cast<double>(w.epoch)});
-    config_.obs.trace->Span("down", "fault", obs::kPidWorkers, p, now,
-                            now + restart_delay);
-    config_.obs.trace->Span("recovering", "fault", obs::kPidWorkers, p,
-                            now + restart_delay, now + delay);
-  }
-  AMR_LOG_DEBUG << "async worker " << p << " crashed at t=" << now
-                << "; restoring in " << delay << " s (epoch " << w.epoch << ")";
-  const uint32_t epoch = w.epoch;
-  cluster_.queue().ScheduleAfter(delay,
-                                 [this, p, epoch] { RestoreWorker(p, epoch); });
-}
-
-void AsyncEngine::RestoreWorker(uint32_t p, uint32_t epoch) {
-  if (finished_) return;
-  Worker& w = workers_[p];
-  if (w.epoch != epoch || w.phase != WorkerPhase::kDown) return;
-
-  if (NodeDownNow(w.node)) {
-    // The host died (again) while the worker was mid-recovery. Relaunch on a
-    // survivor if one exists; with the whole cluster down, defer the restore
-    // to the earliest repair (only genuinely-future repair times qualify —
-    // up nodes hold stale past values).
-    const std::optional<net::NodeId> target = PickRelaunchNode(w.node);
-    if (!target.has_value()) {
-      double wake = std::numeric_limits<double>::infinity();
-      for (double until : node_down_until_) {
-        if (until > cluster_.now()) wake = std::min(wake, until);
-      }
-      AMR_CHECK(std::isfinite(wake));  // w.node itself is down
-      cluster_.queue().Schedule(wake,
-                                [this, p, epoch] { RestoreWorker(p, epoch); });
-      return;
-    }
-    MoveWorker(p, *target);
-  }
-
-  // The crash froze the restore target (the in-flight writes were aborted or
-  // marked lost, CrashWorker's verified pick quarantined anything corrupt,
-  // and nothing new was written while down).
-  const serde::Buffer* encoded =
-      checkpoints_.LatestDurableVerified(p, cluster_.now());
-  AMR_CHECK(encoded != nullptr);
-
-  const double downtime = cluster_.now() - w.down_since;
-  w.downtime_seconds += downtime;
-  downtime_.Add(downtime);
-  downtime_total_ += downtime;
-  ++recoveries_;
-
-  RestoreFromImage(p, *encoded);
-}
-
-void AsyncEngine::RestoreFromImage(uint32_t p, const serde::Buffer& encoded) {
-  Worker& w = workers_[p];
-  auto snap = serde::Decode<WorkerSnapshot>(encoded);
-  AMR_CHECK(snap.ok()) << "corrupt worker checkpoint: "
-                       << snap.status().ToString();
-  AMR_CHECK_EQ(snap.value().partition, p);
-
-  serde::Reader app_reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(snap.value().app_state.data()),
-      snap.value().app_state.size()));
-  restore_(p, app_reader);
-
-  w.iterations = snap.value().iterations;
-  w.unmerged_records = snap.value().unmerged_records;
-  w.ledger.last_residual = snap.value().last_residual;
-  w.ledger.dirty = true;
-  w.capped = false;  // recomputed against the rolled-back clock
-  // Force a full recompute whatever the snapshot held: input delivered after
-  // the checkpoint was lost with the process, and the re-announcements below
-  // arrive with arbitrary delay.
-  w.pending_input = true;
-  w.phase = WorkerPhase::kIdle;
-
-  if (config_.staleness_bound != kUnboundedStaleness) {
-    ClockTable& table = clocks_[p];
-    table.RestoreClockValues(snap.value().peer_clocks);
-    // Master-assisted refresh: the snapshot's view of peers may lag far
-    // enough that the SSP gate blocks on peers that converged and went
-    // silent (they only re-announce once — below — which advances their
-    // clock by a single tick), or may be INFLATED relative to a peer that
-    // itself rolled back since the snapshot was taken. The control plane
-    // knows every worker's true clock, so set (not monotone-observe) each
-    // entry; a real implementation would fetch these from the master on
-    // restart. A peer that is currently down still reads as its pre-crash
-    // clock here — its own restore resets everyone's view of it below.
-    for (uint32_t q : table.peers()) table.Reset(q, workers_[q].iterations);
-  }
-
-  // Peers: their gating view of p must reflect the rollback, their app-level
-  // view of p's dead epochs must be dropped/re-announced, and each sender to
-  // p takes one forced iteration so the re-announcement actually flows even
-  // if it had converged and parked — or capped out (force_iteration bypasses
-  // the cap once; a capped worker that stays silent would leave p computing
-  // against permanently stale input). A sender that is itself down is
-  // skipped: its own restore re-announces to every peer anyway.
-  for (uint32_t q : senders_to_[p]) {
-    if (config_.staleness_bound != kUnboundedStaleness) {
-      clocks_[q].Reset(p, w.iterations);
-    }
-    ForceSenderReannounce(q, p);
-  }
-
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("restored", "fault", obs::kPidWorkers, p,
-                               cluster_.now(),
-                               {"iter", static_cast<double>(w.iterations)},
-                               {"epoch", static_cast<double>(w.epoch)});
-  }
-  AMR_LOG_DEBUG << "async worker " << p << " restored at t=" << cluster_.now()
-                << " to iteration " << w.iterations << " (epoch " << w.epoch
-                << ")";
-  TryStartIteration(p);
-}
-
-// --- node-level failure domains ----------------------------------------------
-
-bool AsyncEngine::NodeDownNow(net::NodeId node) const {
-  return !node_down_until_.empty() && cluster_.now() < node_down_until_[node];
-}
-
-void AsyncEngine::ScheduleNextNodeCrash(net::NodeId node) {
-  const double delay = cluster_.NextNodeCrashDelay();
-  if (!std::isfinite(delay)) return;
-  cluster_.queue().ScheduleAfter(delay, [this, node] {
-    if (finished_) return;  // breaks the timer chain so the queue drains
-    // A crash landing on an already-down node hits a dead machine.
-    if (!NodeDownNow(node)) OnNodeCrash(node);
-    ScheduleNextNodeCrash(node);
-  });
-}
-
-void AsyncEngine::ScheduleNextRackCrash(uint32_t rack) {
-  const double delay = cluster_.NextRackCrashDelay();
-  if (!std::isfinite(delay)) return;
-  cluster_.queue().ScheduleAfter(delay, [this, rack] {
-    if (finished_) return;
-    OnRackCrash(rack);
-    ScheduleNextRackCrash(rack);
-  });
-}
-
-void AsyncEngine::OnNodeCrash(net::NodeId node) {
-  const double now = cluster_.now();
-  node_down_until_[node] = now + cluster_.spec().node_repair_s;
-  ++node_crashes_;
-  AMR_IF_AUDIT({
-    // Node-ledger contract: the cached resident count this crash is about to
-    // act on must match a fresh placement scan (see AuditNodeLedger).
-    uint32_t resident = 0;
-    for (const Worker& aw : workers_) resident += aw.node == node ? 1 : 0;
-    AuditNodeLedger(resident, node_worker_count_[node]);
-  });
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("node-crash", "fault", obs::kPidControl, node,
-                               now,
-                               {"repair_s", cluster_.spec().node_repair_s});
-  }
-  AMR_LOG_DEBUG << "node " << node << " crashed at t=" << now << " (repair "
-                << cluster_.spec().node_repair_s << " s)";
-  for (uint32_t p = 0; p < num_partitions_; ++p) {
-    Worker& w = workers_[p];
-    if (w.node != node || w.phase == WorkerPhase::kDown) continue;
-    // The machine's write-behind DFS pipeline dies first: this worker's
-    // in-flight checkpoint writes are LOST (never restorable), not merely
-    // aborted — recovery falls back through the keep-last-two chain to the
-    // newest image that actually flushed.
-    checkpoints_.MarkPendingLost(p, now);
-    CrashWorker(p, /*node_failure=*/true);
-  }
-}
-
-void AsyncEngine::OnRackCrash(uint32_t rack) {
-  ++rack_crash_episodes_;
-  const uint32_t npr = cluster_.network().topology().config().nodes_per_rack;
-  const uint32_t n = cluster_.spec().num_nodes();
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("rack-crash", "fault", obs::kPidControl, rack,
-                               cluster_.now());
-  }
-  const uint32_t first = rack * npr;
-  for (net::NodeId node = first; node < std::min(first + npr, n); ++node) {
-    if (!NodeDownNow(node)) OnNodeCrash(node);
-  }
-}
-
-std::optional<net::NodeId> AsyncEngine::PickRelaunchNode(
-    net::NodeId avoid) const {
-  std::optional<net::NodeId> best;
-  const std::vector<cluster::NodeSpec>& nodes = cluster_.spec().nodes;
-  for (net::NodeId n = 0; n < cluster_.spec().num_nodes(); ++n) {
-    if (n == avoid || NodeDownNow(n)) continue;
-    if (!best.has_value()) {
-      best = n;
-      continue;
-    }
-    // Strictly-better replacement: ties keep the lowest node id.
-    if (nodes[n].speed_factor > nodes[*best].speed_factor ||
-        (nodes[n].speed_factor == nodes[*best].speed_factor &&
-         node_worker_count_[n] < node_worker_count_[*best])) {
-      best = n;
-    }
-  }
-  return best;
-}
-
-void AsyncEngine::MoveWorker(uint32_t p, net::NodeId target) {
-  Worker& w = workers_[p];
-  if (w.node == target) return;
-  AMR_CHECK(!node_worker_count_.empty());
-  --node_worker_count_[w.node];
-  ++node_worker_count_[target];
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("relaunch", "fault", obs::kPidWorkers, p,
-                               cluster_.now(),
-                               {"from", static_cast<double>(w.node)},
-                               {"to", static_cast<double>(target)});
-  }
-  AMR_LOG_DEBUG << "worker " << p << " relaunching on node " << target
-                << " (was " << w.node << ")";
-  w.node = target;
-}
-
-// --- speculative backup workers ----------------------------------------------
-
-void AsyncEngine::ScheduleSpeculationScan() {
-  cluster_.queue().ScheduleAfter(config_.speculation_check_interval_s, [this] {
-    if (finished_) return;  // breaks the timer chain so the queue drains
-    SpeculationScan();
-    ScheduleSpeculationScan();
-  });
-}
-
-void AsyncEngine::SpeculationScan() {
-  const double now = cluster_.now();
-  const double dt = now - last_scan_time_;
-  if (dt <= 0.0) return;
-  last_scan_time_ = now;
-
-  // Iteration rates observed since the previous scan. Restores roll clocks
-  // back, so the delta is computed in doubles and clamped at zero — an
-  // unsigned wrap would read as an absurdly fast worker.
-  std::vector<double> rates(num_partitions_, 0.0);
-  std::vector<double> live_rates;
-  live_rates.reserve(num_partitions_);
-  for (uint32_t p = 0; p < num_partitions_; ++p) {
-    const Worker& w = workers_[p];
-    rates[p] = std::max(0.0, static_cast<double>(w.iterations) -
-                                 static_cast<double>(iters_at_scan_[p])) /
-               dt;
-    iters_at_scan_[p] = w.iterations;
-    if (w.phase != WorkerPhase::kDown && !w.capped && rates[p] > 0.0) {
-      live_rates.push_back(rates[p]);
-    }
-  }
-  // The median yardstick needs a quorum of progressing workers, like the
-  // wave engine's median-completed-duration rule needs completed tasks.
-  if (live_rates.size() < 3) return;
-  std::nth_element(live_rates.begin(), live_rates.begin() + live_rates.size() / 2,
-                   live_rates.end());
-  const double median = live_rates[live_rates.size() / 2];
-  if (median <= 0.0) return;
-
-  for (uint32_t p = 0; p < num_partitions_; ++p) {
-    const Worker& w = workers_[p];
-    if (backups_[p].active) continue;  // one incubating backup per partition
-    // Not a straggler candidate: down (crash recovery owns it), gate-blocked
-    // (a replica would block on the same peers), capped, or converged and
-    // parked (zero rate by design).
-    if (w.phase == WorkerPhase::kDown || w.phase == WorkerPhase::kBlocked ||
-        w.capped) {
-      continue;
-    }
-    if (w.phase == WorkerPhase::kIdle && !w.pending_input &&
-        w.ledger.last_residual < config_.convergence_threshold) {
-      continue;
-    }
-    if (rates[p] * config_.speculation_factor >= median) continue;
-    LaunchBackup(p);
-  }
-}
-
-void AsyncEngine::LaunchBackup(uint32_t p) {
-  const serde::Buffer* snapshot =
-      checkpoints_.LatestDurableVerified(p, cluster_.now());
-  if (snapshot == nullptr) return;  // nothing durable to seed a replica from
-  const std::optional<net::NodeId> target = PickRelaunchNode(workers_[p].node);
-  if (!target.has_value()) return;  // no other live node to host it
-  Backup& b = backups_[p];
-  b.active = true;
-  ++b.seq;
-  b.launch_iters = workers_[p].iterations;
-  b.launch_epoch = workers_[p].epoch;
-  b.target = *target;
-  // COPY the image: the store prunes and quarantines slots underneath any
-  // long-lived pointer, and the straggler may checkpoint again meanwhile.
-  b.image = *snapshot;
-  ++speculative_launches_;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("backup-launch", "spec", obs::kPidWorkers, p,
-                               cluster_.now(),
-                               {"target", static_cast<double>(*target)},
-                               {"iter", static_cast<double>(b.launch_iters)});
-  }
-  // Incubation = replacement spawn + checkpoint read, the same recovery cost
-  // a crash pays. First to progress wins; the check happens at readiness.
-  const double incubate = cluster_.spec().worker_restart_delay_s +
-                          checkpoints_.ReadSeconds(b.image);
-  const uint32_t seq = b.seq;
-  cluster_.queue().ScheduleAfter(incubate,
-                                 [this, p, seq] { OnBackupReady(p, seq); });
-}
-
-void AsyncEngine::OnBackupReady(uint32_t p, uint32_t seq) {
-  if (finished_) return;
-  Backup& b = backups_[p];
-  if (!b.active || b.seq != seq) return;
-  b.active = false;
-  Worker& w = workers_[p];
-  // First to progress wins. The straggler wins by advancing its clock or by
-  // having gone through a crash/restore (new epoch — the recovery already
-  // re-announced, and this image may predate it); the backup also loses if
-  // its target node has since died.
-  const bool straggler_progressed =
-      w.epoch != b.launch_epoch || w.iterations > b.launch_iters;
-  if (straggler_progressed || w.phase == WorkerPhase::kDown ||
-      NodeDownNow(b.target)) {
-    ++speculative_losses_;
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->Instant("backup-lost", "spec", obs::kPidWorkers, p,
-                                 cluster_.now());
-    }
-    b.image = serde::Buffer{};
-    return;
-  }
-  // The backup wins: fence the straggler out of the epoch (its in-flight
-  // batches and events die as dead-epoch, exactly like a crash) and bring
-  // the replica up in its place — no downtime, the replacement is live now.
-  ++speculative_wins_;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("backup-win", "spec", obs::kPidWorkers, p,
-                               cluster_.now(),
-                               {"target", static_cast<double>(b.target)});
-  }
-  AMR_LOG_DEBUG << "speculative backup for worker " << p << " wins at t="
-                << cluster_.now() << "; fencing straggler on node " << w.node;
-  FenceWorker(p);
-  MoveWorker(p, b.target);
-  RestoreFromImage(p, b.image);
-  b.image = serde::Buffer{};
-}
-
-// --- observability -----------------------------------------------------------
-
-namespace {
-
-/// Staleness-lag buckets: 0 (covers lockstep and every sender-ahead lag),
-/// then powers of two out to 1024 iterations, overflow beyond. Shared by the
-/// per-worker recorders and the merged run-level summary (Merge requires
-/// identical bounds).
-Histogram MakeStalenessHistogram() {
-  return Histogram(
-      {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0});
-}
-
-}  // namespace
-
-void AsyncEngine::EmitBlockedSpan(uint32_t p) {
-  if (config_.obs.trace == nullptr) return;
-  const Worker& w = workers_[p];
-  config_.obs.trace->Span("gate-blocked", "worker", obs::kPidWorkers, p,
-                          w.blocked_since, cluster_.now(),
-                          {"iter", static_cast<double>(w.iterations)});
-}
-
-void AsyncEngine::InstallObservability() {
-  obs::TraceSink* trace = config_.obs.trace;
-  if (trace != nullptr) {
-    cluster_.network().set_trace(trace);
-    cluster_.set_trace(trace);
-    checkpoints_.set_trace(trace);
-    trace_installed_ = true;
-    trace->SetProcessName(obs::kPidWorkers, "workers (" + config_.name + ")");
-    trace->SetProcessName(obs::kPidNetwork, "network");
-    trace->SetProcessName(obs::kPidControl, "control");
-    trace->SetThreadName(obs::kPidControl, 0, "termination token");
-    for (uint32_t p = 0; p < num_partitions_; ++p) {
-      trace->SetThreadName(obs::kPidWorkers, p, "worker " + std::to_string(p));
-    }
-  }
-
-  obs::MetricsRegistry* m = config_.obs.metrics;
-  if (m == nullptr) return;
-  auto probe = [&](std::string name, std::function<double()> fn) {
-    metric_probe_ids_.push_back(m->AddProbe(std::move(name), std::move(fn)));
-  };
-  auto count_phase = [this](WorkerPhase phase) {
-    uint32_t n = 0;
-    for (const Worker& w : workers_) n += w.phase == phase ? 1 : 0;
-    return static_cast<double>(n);
-  };
-  // Registered first: caches the minimum for the per-worker skew probes
-  // below (probes are sampled in registration order).
-  probe("clock.min", [this] {
-    uint32_t lo = workers_[0].iterations;
-    for (const Worker& w : workers_) lo = std::min(lo, w.iterations);
-    cached_min_clock_ = lo;
-    return static_cast<double>(lo);
-  });
-  probe("clock.max", [this] {
-    uint32_t hi = 0;
-    for (const Worker& w : workers_) hi = std::max(hi, w.iterations);
-    return static_cast<double>(hi);
-  });
-  probe("workers.computing",
-        [count_phase] { return count_phase(WorkerPhase::kComputing); });
-  probe("workers.blocked",
-        [count_phase] { return count_phase(WorkerPhase::kBlocked); });
-  probe("workers.waiting_slot",
-        [count_phase] { return count_phase(WorkerPhase::kWaitingSlot); });
-  probe("workers.down",
-        [count_phase] { return count_phase(WorkerPhase::kDown); });
-  probe("pending.records", [this] {
-    uint64_t n = 0;
-    for (const Worker& w : workers_) n += w.unmerged_records;
-    return static_cast<double>(n);
-  });
-  probe("pending.workers", [this] {
-    uint32_t n = 0;
-    for (const Worker& w : workers_) n += w.pending_input ? 1 : 0;
-    return static_cast<double>(n);
-  });
-  probe("net.active_flows",
-        [this] { return static_cast<double>(cluster_.network().active_flows()); });
-  probe("restarts", [this] { return static_cast<double>(total_restarts_); });
-  // Robustness counters (satellite: surfaced in the MetricsRegistry). Flat
-  // sums over workers — cheap relative to the phase scans above.
-  probe("flow_drops", [this] {
-    uint64_t n = 0;
-    for (const Worker& w : workers_) n += w.flow_drops;
-    return static_cast<double>(n);
-  });
-  probe("batch_retries", [this] {
-    uint64_t n = 0;
-    for (const Worker& w : workers_) n += w.batch_retries;
-    return static_cast<double>(n);
-  });
-  probe("retry_backoff_seconds", [this] {
-    double s = 0.0;
-    for (const Worker& w : workers_) s += w.retry_backoff_seconds;
-    return s;
-  });
-  probe("peers_suspected",
-        [this] { return static_cast<double>(peers_suspected_total_); });
-  probe("partition_heal_reannouncements",
-        [this] { return static_cast<double>(heal_reannouncements_); });
-  // Recovery gauge family (satellite: node-level failure-domain telemetry).
-  probe("recovery.recoveries",
-        [this] { return static_cast<double>(recoveries_); });
-  probe("recovery.downtime_seconds", [this] { return downtime_total_; });
-  probe("recovery.node_crashes",
-        [this] { return static_cast<double>(node_crashes_); });
-  probe("recovery.token_regenerations",
-        [this] { return static_cast<double>(token_regenerations_); });
-  probe("recovery.speculative_wins",
-        [this] { return static_cast<double>(speculative_wins_); });
-  for (uint32_t p = 0; p < num_partitions_; ++p) {
-    probe("worker.skew.p" + std::to_string(p), [this, p] {
-      return static_cast<double>(workers_[p].iterations) -
-             static_cast<double>(cached_min_clock_);
-    });
-  }
-}
-
-void AsyncEngine::ScheduleMetricsSample() {
-  const double interval = std::max(config_.obs.metrics_interval_s, 1e-6);
-  cluster_.queue().ScheduleAfter(interval, [this] {
-    if (finished_) return;  // breaks the tick chain so the queue drains
-    config_.obs.metrics->Sample(cluster_.now());
-    ScheduleMetricsSample();
-  });
-}
-
-// --- termination token -------------------------------------------------------
-
-void AsyncEngine::RegisterTokenHandlers() {
-  handlers_registered_ = true;
-  // Register on EVERY node, not just the initial placement footprint: a
-  // relaunched worker can land on any surviving node, and the token must be
-  // able to follow it there. Registration is bookkeeping, not an event, so
-  // the extra handlers cost nothing in virtual time.
-  for (net::NodeId node = 0; node < cluster_.spec().num_nodes(); ++node) {
-    cluster_.rpc().RegisterHandler(
-        node, TokenMethod(),
-        [this, node](net::NodeId /*from*/,
-                     const serde::Buffer& request) -> Result<serde::Buffer> {
-          auto token = serde::Decode<ProgressToken>(request);
-          AMR_CHECK(token.ok()) << token.status().ToString();
-          if (NodeDownNow(node)) {
-            // The token arrived at a dead machine: it dies with it. The
-            // initiator's regeneration timer is what recovers from this.
-            ++tokens_lost_;
-            return serde::Buffer{};
-          }
-          HandleTokenAt(token.value().position, token.value());
-          return serde::Buffer{};  // ack
-        });
-  }
-}
-
-bool AsyncEngine::TokenCanBeLost() const {
-  const net::TopologyConfig& topo = cluster_.network().topology().config();
-  const cluster::ClusterSpec& spec = cluster_.spec();
-  return topo.flow_loss_prob > 0.0 || !topo.partitions.empty() ||
-         spec.node_crash_rate > 0.0 || spec.rack_crash_rate > 0.0;
-}
-
-void AsyncEngine::ArmTokenRegenTimer() {
-  // Only armed when some fault mode can actually eat a token — in clean runs
-  // the timer never exists, so the event timeline is untouched and stored
-  // trajectories stay bit-identical.
-  if (!TokenCanBeLost()) return;
-  const uint32_t gen = token_circuits_;
-  // Exponential backoff on consecutive regenerations: if the timeout is set
-  // shorter than an honest slow circuit, doubling it guarantees the timer
-  // eventually outwaits the circuit instead of livelocking the control plane.
-  const double timeout =
-      config_.token_regen_timeout_s *
-      static_cast<double>(1u << std::min(consecutive_regens_, 6u));
-  cluster_.queue().ScheduleAfter(timeout, [this, gen] {
-    if (finished_) return;
-    // The generation moved on (circuit completed, or an earlier timer already
-    // regenerated): this timer is stale, let it die.
-    if (token_circuits_ != gen) return;
-    ++token_regenerations_;
-    ++consecutive_regens_;
-    // Abandon the stranded generation: bumping the live counter makes every
-    // handler drop the old token if it ever limps home.
-    ++token_circuits_;
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->Instant("token-regen", "token", obs::kPidControl, 0,
-                                 cluster_.now(),
-                                 {"gen", static_cast<double>(token_circuits_)});
-    }
-    AMR_LOG_DEBUG << "token generation " << gen << " presumed lost at t="
-                  << cluster_.now() << "; regenerating as " << token_circuits_;
-    StartCircuit();
-  });
-}
-
-void AsyncEngine::StartCircuit() {
-  circuit_start_time_ = cluster_.now();
-  ProgressToken token;
-  token.circuit = token_circuits_;
-  token.position = 0;
-  // The on_failed callback opts the token's request leg into the network's
-  // loss/partition fault model: control traffic traverses the same faulty
-  // fabric as data. A swallowed token is recovered by the regeneration timer;
-  // counting it here just makes the loss observable.
-  cluster_.rpc().Call(workers_[num_partitions_ - 1].node, workers_[0].node,
-                      TokenMethod(), serde::Encode(token),
-                      [](Result<serde::Buffer>) {}, [this] { ++tokens_lost_; });
-  ArmTokenRegenTimer();
-}
-
-void AsyncEngine::HandleTokenAt(uint32_t position, ProgressToken token) {
-  if (finished_) return;
-  if (token.circuit != token_circuits_) {
-    // A regenerated circuit has superseded this token's generation (its
-    // circuit id doubles as one): a stranded token that finally escaped a
-    // partition must not finish a circuit the initiator already wrote off —
-    // two live tokens could otherwise double-complete.
-    ++stale_tokens_dropped_;
-    return;
-  }
+void AsyncEngine::VisitForToken(uint32_t p, ProgressToken& token) {
   AMR_IF_AUDIT({
     // Safra ledger-balance contract at every token visit: summed over all
     // workers, sent - received must equal the batch flows currently on the
@@ -1285,25 +570,25 @@ void AsyncEngine::HandleTokenAt(uint32_t position, ProgressToken token) {
     uint64_t audit_sent = 0;
     uint64_t audit_received = 0;
     for (const Worker& aw : workers_) {
-      audit_sent += aw.ledger.batches_sent;
-      audit_received += aw.ledger.batches_received;
+      audit_sent += aw.stats.batches_sent;
+      audit_received += aw.stats.batches_received;
     }
     AuditSafraBalance(audit_sent, audit_received, audit_batch_flows_in_flight_);
   });
-  Worker& w = workers_[position];
-  if (w.iterations == 0) {
-    // Never completed an iteration: its ledger residual is the +inf "not yet
+  Worker& w = workers_[p];
+  if (w.stats.iterations == 0) {
+    // Never completed an iteration: its residual is the +inf "not yet
     // measured" sentinel, which must not leak into the aggregate. The global
     // residual is unknown for this circuit instead.
     token.residual_known = false;
   } else {
-    token.residual = std::max(token.residual, w.ledger.last_residual);
+    token.residual = std::max(token.residual, w.stats.last_residual);
   }
-  token.sent += w.ledger.batches_sent;
-  token.received += w.ledger.batches_received;
+  token.sent += w.stats.batches_sent;
+  token.received += w.stats.batches_received;
   token.restarts += w.epoch;
-  if (w.ledger.dirty) token.tainted = true;
-  w.ledger.dirty = false;
+  if (w.dirty) token.tainted = true;
+  w.dirty = false;
   // A pending retry WILL re-open a flow: during its backoff gap the ledgers
   // balance (the failed attempt self-acked), so without this the circuit
   // could prove termination with an undelivered batch still owed.
@@ -1311,71 +596,26 @@ void AsyncEngine::HandleTokenAt(uint32_t position, ProgressToken token) {
       w.pending_retries > 0) {
     token.all_quiescent = false;
   }
-
-  if (position + 1 < num_partitions_) {
-    token.position = position + 1;
-    cluster_.rpc().Call(w.node, workers_[token.position].node, TokenMethod(),
-                        serde::Encode(token), [](Result<serde::Buffer>) {},
-                        [this] { ++tokens_lost_; });
-  } else {
-    CompleteCircuit(token);
-  }
 }
 
-void AsyncEngine::CompleteCircuit(const ProgressToken& token) {
-  AMR_IF_AUDIT({
-    // Generation contract: only the live generation can complete a circuit —
-    // the HandleTokenAt drop must have filtered everything stale.
-    AuditTokenGeneration(token.circuit, token_circuits_);
-  });
-  // An honest circuit came home: reset the regeneration backoff.
-  consecutive_regens_ = 0;
-  ++token_circuits_;
-  // A token that observed fewer restarts than have happened visited some
-  // worker before it crashed: that quiescence observation is stale, so the
-  // circuit is tainted and re-circulates (restart-count monotonicity makes
-  // this exact — epochs only grow, and a crash after the visit is precisely
-  // a sum mismatch at completion).
-  const bool proved =
-      token.ProvesTermination() && token.restarts == total_restarts_;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Span(
-        "token-circuit", "token", obs::kPidControl, 0, circuit_start_time_,
-        cluster_.now(), {"circuit", static_cast<double>(token_circuits_ - 1)},
-        {"proved", proved ? 1.0 : 0.0});
-  }
-  if (proved) {
-    // An unknown residual (some worker never iterated) can terminate — the
-    // workers are provably done — but never *converged*.
-    Finish(token.residual_known &&
-               token.residual < config_.convergence_threshold,
-           token.residual, token.residual_known);
-    return;
-  }
-  double backoff = config_.token_backoff_s;
-  if (config_.adaptive_token_backoff) {
-    // Pause for as long as the failed circuit itself took (P RPC hops plus
-    // worker-visit latencies), so token traffic stays a bounded fraction of
-    // the control plane at any partition count.
-    backoff = std::clamp(
-        cluster_.now() - circuit_start_time_, config_.token_backoff_s,
-        std::max(config_.token_backoff_s, config_.token_backoff_max_s));
-  }
-  cluster_.queue().ScheduleAfter(backoff, [this] {
-    if (!finished_) StartCircuit();
-  });
+uint32_t AsyncEngine::TotalRestarts() const {
+  uint32_t n = 0;
+  for (const Worker& w : workers_) n += w.epoch;
+  return n;
 }
 
-void AsyncEngine::Finish(bool converged, double residual, bool residual_known) {
+void AsyncEngine::Finish(const ProgressToken& token) {
+  // An unknown residual (some worker never iterated) can terminate — the
+  // workers are provably done — but never *converged*.
+  result_.converged =
+      token.residual_known && token.residual < config_.convergence_threshold;
+  result_.final_residual = token.residual;
+  result_.residual_known = token.residual_known;
+  result_.end_seconds = cluster_.now();
   AMR_LOG_DEBUG << "async engine '" << config_.name << "' terminated at t="
-                << cluster_.now() << " converged=" << converged
-                << " residual=" << residual
-                << " residual_known=" << residual_known;
-  finished_ = true;
-  converged_ = converged;
-  final_residual_ = residual;
-  final_residual_known_ = residual_known;
-  end_time_ = cluster_.now();
+                << cluster_.now() << " converged=" << result_.converged
+                << " residual=" << token.residual
+                << " residual_known=" << token.residual_known;
 }
 
 AsyncResult AsyncEngine::Run() {
@@ -1392,32 +632,14 @@ AsyncResult AsyncEngine::Run() {
       << "crash injection and speculation require snapshot and restore "
       << "callbacks (checkpoint/replay is the async engine's only recovery "
       << "path, and backups incubate from checkpoints)";
-  // Both timers reschedule themselves at now + interval: a non-positive
-  // interval would re-fire at the same instant forever (the speculation
-  // scan) or collapse the regeneration backoff to zero (the token timer).
+  // The scan reschedules itself at now + interval: a non-positive interval
+  // would re-fire at the same instant forever.
   AMR_CHECK(!speculation || config_.speculation_check_interval_s > 0.0)
       << "speculation_factor > 0 requires speculation_check_interval_s > 0 "
       << "(got " << config_.speculation_check_interval_s << ")";
-  AMR_CHECK(!TokenCanBeLost() || config_.token_regen_timeout_s > 0.0)
-      << "a fault model that can lose the termination token requires "
-      << "token_regen_timeout_s > 0 (got " << config_.token_regen_timeout_s
-      << ")";
 
   BuildTopology();
-  if (node_faults || speculation) {
-    // The relaunch/speculation placement ledger. Sized lazily so plain runs
-    // never pay for it (and NodeDownNow stays a trivial `empty()` no).
-    node_down_until_.assign(cluster_.spec().num_nodes(), 0.0);
-    node_worker_count_.assign(cluster_.spec().num_nodes(), 0);
-    for (const Worker& w : workers_) ++node_worker_count_[w.node];
-  }
-  RegisterTokenHandlers();
   InstallObservability();
-  staleness_.clear();
-  staleness_.reserve(num_partitions_);
-  for (uint32_t p = 0; p < num_partitions_; ++p) {
-    staleness_.push_back(MakeStalenessHistogram());
-  }
   checkpoints_.ResetPartitions(num_partitions_);
   if (config_.checkpoint_corruption_prob > 0.0) {
     checkpoints_.set_corruption(config_.checkpoint_corruption_prob,
@@ -1431,127 +653,75 @@ AsyncResult AsyncEngine::Run() {
       TakeCheckpoint(p, /*free_write=*/true);
     }
   }
-  start_time_ = cluster_.now();
+  result_.start_seconds = cluster_.now();
   if (config_.obs.metrics != nullptr) {
     config_.obs.metrics->Sample(cluster_.now());  // t = start row
-    ScheduleMetricsSample();
+    // Probes only read engine state: the tick events renumber event sequence
+    // ids but keep the relative firing order of all other events, so the
+    // simulation stays bit-identical with metrics on or off.
+    const double interval = std::max(config_.obs.metrics_interval_s, 1e-6);
+    ScheduleRecurring([interval] { return interval; },
+                      [this] { config_.obs.metrics->Sample(cluster_.now()); });
   }
   for (uint32_t p = 0; p < num_partitions_; ++p) TryStartIteration(p);
-  if (crashes) {
-    for (uint32_t p = 0; p < num_partitions_; ++p) ScheduleNextCrash(p);
-  }
-  if (node_faults) {
-    for (net::NodeId n = 0; n < cluster_.spec().num_nodes(); ++n) {
-      ScheduleNextNodeCrash(n);
-    }
-    const uint32_t racks = cluster_.network().topology().num_racks();
-    for (uint32_t r = 0; r < racks; ++r) ScheduleNextRackCrash(r);
-  }
-  if (speculation) {
-    backups_.assign(num_partitions_, {});
-    iters_at_scan_.assign(num_partitions_, 0);
-    last_scan_time_ = cluster_.now();
-    ScheduleSpeculationScan();
-  }
-  // Partition-heal boundary re-announcements: at each window's end every
-  // send edge the window severed re-announces, riding the force-resend path.
-  const auto& windows = cluster_.network().topology().config().partitions;
-  for (size_t i = 0; i < windows.size(); ++i) {
-    if (windows[i].end_s <= cluster_.now()) continue;  // healed before Run
-    cluster_.queue().Schedule(windows[i].end_s,
-                              [this, i] { OnPartitionHealed(i); });
-  }
-  StartCircuit();
+  ArmRecovery(crashes, node_faults, speculation);
+  termination_.Start();
   cluster_.RunUntilIdle();
-  AMR_CHECK(finished_)
+  AMR_CHECK(finished())
       << "async engine drained the event queue without terminating";
   if (config_.obs.metrics != nullptr) {
     config_.obs.metrics->Sample(cluster_.now());  // end-of-run row
   }
 
-  AsyncResult result;
-  result.converged = converged_;
-  result.start_seconds = start_time_;
-  result.end_seconds = end_time_;
-  result.token_circuits = token_circuits_;
-  result.final_residual = final_residual_;
-  result.residual_known = final_residual_known_;
-  result.update_batches = total_batches_;
-  result.update_records = total_records_;
-  result.bytes_sent = total_bytes_;
-  result.coalesced_batches = total_coalesced_;
-  result.coalesced_bytes_saved = total_coalesced_bytes_saved_;
-  result.worker_restarts = total_restarts_;
-  result.checkpoints_written =
-      static_cast<uint32_t>(checkpoints_.stats().checkpoints_written);
-  result.checkpoint_bytes = checkpoints_.stats().bytes_written;
-  result.checkpoint_write_seconds = checkpoints_.stats().write_seconds;
-  result.recovery_seconds = recovery_seconds_;
-  result.peers_suspected = peers_suspected_total_;
-  result.partition_heal_reannouncements = heal_reannouncements_;
-  result.checkpoint_corruptions_detected =
-      checkpoints_.stats().corruptions_detected;
-  result.node_crashes = node_crashes_;
-  result.rack_crash_episodes = rack_crash_episodes_;
-  result.checkpoint_writes_lost = checkpoints_.stats().writes_lost;
-  result.tokens_lost = tokens_lost_;
-  result.token_regenerations = token_regenerations_;
-  result.stale_tokens_dropped = stale_tokens_dropped_;
-  result.speculative_launches = speculative_launches_;
-  result.speculative_wins = speculative_wins_;
-  result.speculative_losses = speculative_losses_;
-  result.recoveries = recoveries_;
-  result.downtime_seconds = downtime_total_;
-  result.mttr_seconds =
-      recoveries_ > 0 ? downtime_total_ / static_cast<double>(recoveries_) : 0.0;
-  if (recoveries_ > 0) {
-    result.downtime_p50 = downtime_.Percentile(50);
-    result.downtime_p95 = downtime_.Percentile(95);
-    result.downtime_max = downtime_.max_seen();
-  }
-  Histogram staleness = MakeStalenessHistogram();
-  for (const Histogram& h : staleness_) staleness.Merge(h);
-  result.staleness_samples = staleness.total();
-  result.staleness_p50 = staleness.Percentile(50);
-  result.staleness_p95 = staleness.Percentile(95);
-  result.staleness_min = staleness.min_seen();
-  result.staleness_max = staleness.max_seen();
+  AsyncResult& r = result_;
+  r.token_circuits = termination_.circuits();
+  r.tokens_lost = termination_.tokens_lost();
+  r.token_regenerations = termination_.regenerations();
+  r.stale_tokens_dropped = termination_.stale_dropped();
+  const CheckpointStore::Stats& ckpt = checkpoints_.stats();
+  r.checkpoints_written = static_cast<uint32_t>(ckpt.checkpoints_written);
+  r.checkpoint_bytes = ckpt.bytes_written;
+  r.checkpoint_write_seconds = ckpt.write_seconds;
+  r.checkpoint_corruptions_detected = ckpt.corruptions_detected;
+  r.checkpoint_writes_lost = ckpt.writes_lost;
+  r.staleness_samples = staleness_.total();
+  r.staleness_p50 = staleness_.Percentile(50);
+  r.staleness_p95 = staleness_.Percentile(95);
+  r.staleness_min = staleness_.min_seen();
+  r.staleness_max = staleness_.max_seen();
   if (config_.obs.metrics != nullptr) {
     config_.obs.metrics
-        ->AddHistogram("staleness_lag", MakeStalenessHistogram())
-        ->Merge(staleness);
+        ->AddHistogram("staleness_lag", Histogram(staleness_.bounds()))
+        ->Merge(staleness_);
   }
-  result.workers.reserve(num_partitions_);
+  // Per-worker counters are summed exactly once, here.
+  r.workers.reserve(num_partitions_);
   for (const Worker& w : workers_) {
-    WorkerStats stats;
-    stats.iterations = w.iterations;
-    stats.ops = w.ops;
-    stats.merge_ops = w.merge_ops;
-    stats.batches_sent = w.ledger.batches_sent;
-    stats.batches_received = w.ledger.batches_received;
-    stats.records_sent = w.records_sent;
-    stats.coalesced_batches = w.coalesced_batches;
-    stats.coalesced_bytes_saved = w.coalesced_bytes_saved;
-    stats.flow_drops = w.flow_drops;
-    stats.batch_retries = w.batch_retries;
-    stats.retry_backoff_seconds = w.retry_backoff_seconds;
-    stats.batches_abandoned = w.batches_abandoned;
-    result.flow_drops += w.flow_drops;
-    result.batch_retries += w.batch_retries;
-    result.retry_backoff_seconds += w.retry_backoff_seconds;
-    result.batches_abandoned += w.batches_abandoned;
-    stats.restarts = w.epoch;
-    stats.downtime_seconds = w.downtime_seconds;
-    stats.checkpoints = w.checkpoints;
-    stats.checkpoint_bytes = w.checkpoint_bytes;
-    stats.residual_known = w.iterations > 0;
-    stats.last_residual = stats.residual_known ? w.ledger.last_residual : 0.0;
-    result.workers.push_back(stats);
-    result.total_iterations += w.iterations;
-    result.total_ops += w.ops;
-    result.total_merge_ops += w.merge_ops;
+    WorkerStats s = w.stats;
+    s.restarts = w.epoch;
+    s.residual_known = s.iterations > 0;
+    if (!s.residual_known) s.last_residual = 0.0;
+    r.total_iterations += s.iterations;
+    r.total_ops += s.ops;
+    r.total_merge_ops += s.merge_ops;
+    r.update_batches += s.batches_sent;
+    r.update_records += s.records_sent;
+    r.coalesced_batches += s.coalesced_batches;
+    r.coalesced_bytes_saved += s.coalesced_bytes_saved;
+    r.worker_restarts += s.restarts;
+    r.flow_drops += s.flow_drops;
+    r.batch_retries += s.batch_retries;
+    r.retry_backoff_seconds += s.retry_backoff_seconds;
+    r.batches_abandoned += s.batches_abandoned;
+    r.downtime_seconds += s.downtime_seconds;
+    r.workers.push_back(s);
   }
-  return result;
+  r.recoveries = static_cast<uint32_t>(downtime_.total());
+  if (r.recoveries > 0) {
+    r.mttr_seconds = r.downtime_seconds / static_cast<double>(r.recoveries);
+    r.downtime_p95 = downtime_.Percentile(95);
+  }
+  return std::move(result_);
 }
 
 }  // namespace asyncmr::async

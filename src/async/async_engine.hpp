@@ -33,7 +33,9 @@
 // the window, which keeps lockstep deadlock-free.
 //
 // Termination is detected without a barrier by the Safra-style residual token
-// of progress.hpp circulating on the RPC layer.
+// of progress.hpp (TerminationDetector) circulating on the RPC layer; the
+// engine only tells it where workers live and folds each visited worker
+// into the token.
 //
 // Fault tolerance (checkpoint/replay — see checkpoint.hpp): when the cluster
 // spec sets worker_crash_rate > 0, workers crash at Poisson times. A crashed
@@ -59,11 +61,18 @@
 // write-behind, so results and the event timeline are bit-identical to a run
 // with checkpointing disabled — the checkpoint cost surfaces in the
 // AsyncResult accounting and in recovery time when crashes do happen.
+//
+// The code is split by concern: the data plane in async_engine.cpp,
+// termination in progress.{hpp,cpp}, recovery in async_recovery.cpp and
+// observability in async_obs.cpp. Per-worker counters live in Worker::stats
+// and are summed into AsyncResult once, at the end of Run; run-level
+// counters live in result_.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -134,7 +143,7 @@ std::vector<U> DecodeBatch(const UpdateBatch& batch) {
 /// names — but these are pure transport/termination tuning). AsyncConfig
 /// derives from it, so an app sets all of them with one assignment. Benches
 /// sweep them for the P >> slots regime.
-struct EngineTuning {
+struct EngineTuning : TokenTuning {
   /// Per-peer update-batch coalescing: while a flow to a peer is in flight,
   /// merge subsequent emissions to that peer into one pending batch (records
   /// appended in emission order, so replacement semantics are preserved) and
@@ -147,31 +156,10 @@ struct EngineTuning {
   /// Safra proof is unaffected: a pending batch exists only while its edge
   /// has a flow in flight, which already holds sent > received.
   bool coalesce_batches = false;
-  /// Adaptive inter-circuit pause: back off by the previous circuit's own
-  /// (virtual) duration, clamped to [token_backoff_s, token_backoff_max_s].
-  /// A circuit is P sequential RPC hops, so at P in the thousands a fixed
-  /// small backoff keeps the ring saturated with control traffic; scaling
-  /// the pause to the measured circuit time bounds token overhead at ~50%
-  /// of the RPC path regardless of P, deterministically (virtual time only).
-  bool adaptive_token_backoff = false;
-  /// Pause between termination-token circuits that fail to prove termination
-  /// (the minimum pause in adaptive mode).
-  double token_backoff_s = 0.25;
 
   // --- robustness under adversarial networks --------------------------------
-  /// Sender-side retry for update batches whose flow FAILED (dropped by a
-  /// lossy link, killed/timed out by a partition). Attempt k waits
-  /// min(retry_backoff_base_s * 2^k, retry_backoff_max_s) * (1 + jitter),
-  /// jitter uniform in [0, retry_jitter_frac). After max_batch_retries total
-  /// attempts the batch is abandoned and the sender's delta filter is forced
-  /// to re-announce toward that peer instead (the same repair path a peer
-  /// restart uses), so no update is ever silently lost. Retries draw RNG and
-  /// schedule events only when a flow actually fails: with all link-fault
-  /// knobs off, no batch ever fails and runs stay bit-identical.
-  uint32_t max_batch_retries = 16;
-  double retry_backoff_base_s = 0.05;
-  double retry_backoff_max_s = 10.0;
-  double retry_jitter_frac = 0.2;
+  // (Failed update batches are retried with fixed constants; see
+  // kMaxBatchRetries in async_engine.cpp.)
   /// Bounded-staleness peer suspicion (0 = disabled, and irrelevant under
   /// unbounded staleness): a worker gate-blocked for longer than this
   /// suspects every peer whose clock is below the gate's need and stops
@@ -187,16 +175,6 @@ struct EngineTuning {
   /// after its CRC is recorded, so recovery detects it and falls back to the
   /// previous retained snapshot). Test/chaos knob; 0 = clean, no draws.
   double checkpoint_corruption_prob = 0.0;
-  /// Safra-token loss recovery: base timeout after which the initiator
-  /// presumes the circulating token lost and regenerates it under a fresh
-  /// generation (the token's circuit id — see progress.hpp; handlers drop
-  /// tokens from abandoned generations). The timer backs off exponentially
-  /// across consecutive regenerations of the same logical circuit so a
-  /// merely-slow ring cannot be regenerated into a livelock, and it is armed
-  /// at all ONLY when the configured network/failure knobs can actually lose
-  /// or strand a token — clean runs schedule no timer and stay bit-identical.
-  /// Must be > 0 whenever the token can be lost (Run() checks).
-  double token_regen_timeout_s = 3.0;
   /// Speculative backup workers: every speculation_check_interval_s the
   /// engine compares per-worker iteration rates observed since the previous
   /// scan; a worker whose rate falls below median/speculation_factor gets a
@@ -226,8 +204,6 @@ struct AsyncConfig : EngineTuning {
   double convergence_threshold = 1e-5;
   /// Hard per-worker iteration cap; a capped run terminates converged=false.
   uint32_t max_iterations_per_worker = 10'000;
-  /// Wire envelope bytes per batch; record bytes are the real encoded size.
-  uint64_t update_envelope_bytes = 64;
   /// Virtual ops charged per delivered update record, folded into the
   /// receiver's *next* iteration's compute time — applying a peer's batch is
   /// not free (the wave engines pay the equivalent inside reduce). Records
@@ -236,8 +212,6 @@ struct AsyncConfig : EngineTuning {
   /// Compute-time multiplier (models intra-worker thread pools, like
   /// gmap_time_scale).
   double compute_time_scale = 1.0;
-  /// Upper clamp of the adaptive inter-circuit pause (adaptive_token_backoff).
-  double token_backoff_max_s = 30.0;
   /// Completed iterations between worker checkpoints (0 = only the free
   /// initial snapshot). Checkpoints are taken only when a snapshot callback
   /// is installed; crash injection (ClusterSpec::worker_crash_rate > 0)
@@ -245,9 +219,12 @@ struct AsyncConfig : EngineTuning {
   /// (see checkpoint.hpp): they never perturb the failure-free timeline, but
   /// a crash can only restore a snapshot whose DFS write had completed.
   uint32_t checkpoint_interval = 8;
-  cluster::SlotType slot_type = cluster::SlotType::kMap;
   std::string name = "async";
 };
+
+/// Wire envelope bytes per update batch; record bytes are the real encoded
+/// size. Coalescing saves exactly this much per merged emission.
+inline constexpr uint64_t kUpdateEnvelopeBytes = 64;
 
 /// Worker lifecycle phase, exposed for the termination predicate below.
 /// kDown = crashed and awaiting checkpoint restore.
@@ -341,7 +318,7 @@ struct WorkerStats {
   double downtime_seconds = 0.0;
   /// Robustness counters: outgoing flows that failed (dropped/killed/timed
   /// out), retry attempts launched for them, total backoff waited before
-  /// those retries, and batches abandoned after max_batch_retries (each one
+  /// those retries, and batches abandoned after kMaxBatchRetries (each one
   /// repaired by a forced re-announcement instead).
   uint64_t flow_drops = 0;
   uint64_t batch_retries = 0;
@@ -405,13 +382,11 @@ struct AsyncResult {
   uint32_t speculative_wins = 0;
   uint32_t speculative_losses = 0;
   /// Recovery telemetry: completed crash→restore cycles, their total
-  /// downtime, the mean time to recover, and the downtime distribution.
+  /// downtime, the mean time to recover, and the 95th-percentile downtime.
   uint32_t recoveries = 0;
   double downtime_seconds = 0.0;
   double mttr_seconds = 0.0;
-  double downtime_p50 = 0.0;
   double downtime_p95 = 0.0;
-  double downtime_max = 0.0;
   /// Robustness accounting (sums of the per-worker counters, plus the
   /// engine-level suspicion/heal events). flow_drops counts failed outgoing
   /// batch flows; every one was either retried (batch_retries, with
@@ -511,16 +486,10 @@ class AsyncEngine {
   /// Runs all workers to global termination (drains virtual time).
   AsyncResult Run();
 
-  /// Round-robin partition placement over the cluster's nodes.
-  net::NodeId NodeOfPartition(uint32_t p) const;
-
-  const AsyncConfig& config() const { return config_; }
-
  private:
   struct Worker {
     net::NodeId node = 0;
     WorkerPhase phase = WorkerPhase::kIdle;
-    uint32_t iterations = 0;  // completed iterations == this worker's clock
     bool pending_input = false;
     bool capped = false;
     /// One-shot cap bypass granted by RestoreWorker to senders-to-a-restarted
@@ -531,12 +500,16 @@ class AsyncEngine {
     /// into in-flight engine callbacks (slot grants, compute completions) so
     /// events belonging to a dead incarnation are recognized and dropped.
     uint32_t epoch = 0;
-    ProgressLedger ledger;
-    uint64_t ops = 0;
-    uint64_t merge_ops = 0;
-    uint64_t records_sent = 0;
-    uint32_t checkpoints = 0;
-    uint64_t checkpoint_bytes = 0;
+    /// This worker's counters. stats.iterations (completed iterations) is
+    /// its clock; stats.last_residual is +inf until the first iteration
+    /// completes (Run() reports that as residual_known = false), and
+    /// batches_sent/batches_received are its Safra ledger — they belong to
+    /// the node runtime and survive a crash of the process.
+    WorkerStats stats{.last_residual = std::numeric_limits<double>::infinity()};
+    /// Set whenever the worker completes an iteration, receives a batch or
+    /// restarts; cleared by the token's visit. A dirty worker taints the
+    /// circuit (Safra's black machine).
+    bool dirty = true;
     /// Records delivered since the last BeginCompute; their merge cost is
     /// charged into the next iteration's virtual time.
     uint64_t unmerged_records = 0;
@@ -561,23 +534,17 @@ class AsyncEngine {
       UpdateBatch pending;
     };
     std::vector<PeerLink> links;
-    uint64_t coalesced_batches = 0;
-    uint64_t coalesced_bytes_saved = 0;
     /// Retries scheduled but not yet re-launched. A worker with a pending
     /// retry is never counted quiescent: the retry WILL put a batch back on
     /// the wire, so a token circuit observing balanced sent == received in
     /// the backoff gap must not prove termination.
     uint32_t pending_retries = 0;
-    /// Robustness counters (see WorkerStats).
-    uint64_t flow_drops = 0;
-    uint64_t batch_retries = 0;
-    double retry_backoff_seconds = 0.0;
-    uint64_t batches_abandoned = 0;
-    /// Recovery telemetry: when the current down span began (valid while
-    /// kDown) and total downtime accumulated across restarts.
+    /// When the current down span began (valid while kDown).
     double down_since = 0.0;
-    double downtime_seconds = 0.0;
   };
+
+  /// Task-slot type worker iterations lease.
+  static constexpr cluster::SlotType kSlot = cluster::SlotType::kMap;
 
   void BuildTopology();
   bool KeepaliveDue(const Worker& w, uint32_t p) const;
@@ -596,12 +563,9 @@ class AsyncEngine {
                         uint64_t flow_id);
   /// Routes one emission from `p` to send_peers_[p][peer_index]: merges into
   /// the edge's pending batch when coalescing and a flow is in flight,
-  /// otherwise launches a flow (LaunchBatch).
+  /// otherwise books it as sent and opens its flow.
   void EmitBatch(uint32_t p, size_t peer_index, UpdateBatch batch,
                  uint32_t clock);
-  /// Opens the network flow for one batch and books the send accounting.
-  void LaunchBatch(uint32_t p, size_t peer_index, UpdateBatch batch,
-                   uint32_t clock);
   /// One wire attempt for a batch: books the per-attempt send accounting and
   /// opens the loss-aware network flow. attempt 0 is the original launch;
   /// retries re-enter here with the same shared payload.
@@ -610,7 +574,7 @@ class AsyncEngine {
                 uint32_t epoch, uint32_t attempt);
   /// Terminal failure of one wire attempt: self-acks the batch (Safra sums
   /// balance like a delivery), then either schedules a backoff retry or, at
-  /// max_batch_retries, abandons and forces a re-announcement toward the peer.
+  /// kMaxBatchRetries, abandons and forces a re-announcement toward the peer.
   void OnFlowFailed(uint32_t p, size_t peer_index,
                     std::shared_ptr<UpdateBatch> payload, uint32_t clock,
                     uint32_t epoch, uint32_t attempt);
@@ -622,9 +586,19 @@ class AsyncEngine {
   /// iteration of `p`, bypassing the cap once. Shared by peer-restart
   /// recovery, batch abandonment, and partition-heal re-announcement.
   void ForceSenderReannounce(uint32_t p, uint32_t q);
-  /// A partition window just healed: every directed send edge it severed
-  /// re-announces, so receivers reconverge to what they missed.
-  void OnPartitionHealed(size_t window_index);
+  /// Self-rescheduling timer chain (crash injection, speculation scans,
+  /// metric samples): calls `fire` after every `next_delay()` until the run
+  /// finishes, so RunUntilIdle still drains the queue. A non-finite delay
+  /// (a fault rate of 0) ends the chain without scheduling anything.
+  void ScheduleRecurring(std::function<double()> next_delay,
+                         std::function<void()> fire);
+  /// Folds worker `p` into a visiting token (TerminationDetector::Ring).
+  void VisitForToken(uint32_t p, ProgressToken& token);
+  /// Crash/recovery cycles so far: the sum of the workers' epochs.
+  uint32_t TotalRestarts() const;
+  bool finished() const { return termination_.done(); }
+  /// A token circuit proved termination: records the outcome in result_.
+  void Finish(const ProgressToken& token);
 
   // --- peer suspicion (bounded staleness only) -------------------------------
   /// The staleness gate, minus suspected peers: admits worker `p`'s next
@@ -642,22 +616,25 @@ class AsyncEngine {
   /// destructor undoes all of it (the sinks outlive the engine, the engine
   /// must not leak callbacks into them).
   void InstallObservability();
+  /// A trace instant on worker `p`'s row at the current time (no-op when
+  /// tracing is off).
+  void TraceWorker(const char* name, const char* cat, uint32_t p,
+                   obs::TraceSink::Arg a = {},
+                   obs::TraceSink::Arg b = {}) const;
   /// Closes the "gate-blocked" span of a worker leaving kBlocked.
   void EmitBlockedSpan(uint32_t p);
-  /// Self-rescheduling virtual-time tick reading every metric probe; the
-  /// chain stops once finished_ so RunUntilIdle still drains the queue.
-  /// Probes only read engine state — the extra queue events renumber event
-  /// sequence ids but preserve the relative firing order of all other
-  /// events, so the simulation stays bit-identical with metrics on or off.
-  void ScheduleMetricsSample();
 
   // --- checkpoint/replay -----------------------------------------------------
   /// Serializes worker `p`'s full state (engine record + app payload) into a
   /// WorkerSnapshot and hands it to the checkpoint store. free_write marks
   /// the iteration-0 snapshot (the staged input, already durable).
   void TakeCheckpoint(uint32_t p, bool free_write);
-  /// Arms worker `p`'s next Poisson crash timer (no-op when injection is off).
-  void ScheduleNextCrash(uint32_t p);
+  /// Sizes the placement ledger and arms the fault and speculation timers
+  /// and the partition-heal re-announcements the configuration asks for.
+  void ArmRecovery(bool crashes, bool node_faults, bool speculation);
+  /// A partition window just healed: every directed send edge it severed
+  /// re-announces, so receivers reconverge to what they missed.
+  void OnPartitionHealed(size_t window_index);
   /// Kills worker `p`: bumps its epoch, frees its slot if it held one, picks
   /// the restore target among checkpoints durable *now* (aborting in-flight
   /// writes — unless node_failure, where the node already marked them LOST),
@@ -676,11 +653,6 @@ class AsyncEngine {
 
   // --- node-level failure domains --------------------------------------------
   bool NodeDownNow(net::NodeId node) const;
-  /// Arms one node's (or rack's) Poisson crash chain (no-op at rate 0). The
-  /// chain keeps drawing while the node is down — a crash landing on a dead
-  /// machine is skipped, not deferred — so fault pressure is memoryless.
-  void ScheduleNextNodeCrash(net::NodeId node);
-  void ScheduleNextRackCrash(uint32_t rack);
   /// Whole-node failure: marks the node down for spec.node_repair_s, flags
   /// its in-flight checkpoint writes lost, and crashes every resident worker.
   void OnNodeCrash(net::NodeId node);
@@ -696,7 +668,6 @@ class AsyncEngine {
   void MoveWorker(uint32_t p, net::NodeId target);
 
   // --- speculative backup workers --------------------------------------------
-  void ScheduleSpeculationScan();
   /// Compares per-worker iteration rates since the previous scan and
   /// launches backups for stragglers (see AsyncConfig::speculation_factor).
   void SpeculationScan();
@@ -710,28 +681,10 @@ class AsyncEngine {
   /// shared kill half of CrashWorker and a losing straggler's fencing.
   void FenceWorker(uint32_t p);
 
-  // --- termination token -----------------------------------------------------
-  std::string TokenMethod() const { return "amr.async." + config_.name + ".token"; }
-  void RegisterTokenHandlers();
-  void StartCircuit();
-  void HandleTokenAt(uint32_t position, ProgressToken token);
-  void CompleteCircuit(const ProgressToken& token);
-  /// Can the configured fault model lose or strand a token? Gates the
-  /// regeneration timer: when false the token is provably reliable, no timer
-  /// is armed, and clean runs schedule zero extra events.
-  bool TokenCanBeLost() const;
-  /// One-shot regeneration timer armed per StartCircuit: if the circuit it
-  /// watches (identified by its generation == circuit id) has neither
-  /// completed nor been superseded when the timer fires, the initiator
-  /// abandons that generation and starts a fresh circuit. Exponential
-  /// per-consecutive-regeneration backoff guards against regenerating a
-  /// slow-but-alive ring forever.
-  void ArmTokenRegenTimer();
-  void Finish(bool converged, double residual, bool residual_known);
-
   cluster::SimCluster& cluster_;
   uint32_t num_partitions_;
   AsyncConfig config_;
+  TerminationDetector termination_;
   ComputeFn compute_;
   ApplyFn apply_;
   OutPeersFn out_peers_;
@@ -753,11 +706,10 @@ class AsyncEngine {
   /// of currently-suspected peers per partition for a cheap gate fast path.
   std::vector<std::vector<uint8_t>> suspected_;
   std::vector<uint32_t> suspected_count_;
-  uint64_t peers_suspected_total_ = 0;
-  uint64_t heal_reannouncements_ = 0;
   CheckpointStore checkpoints_;
-  uint32_t total_restarts_ = 0;
-  double recovery_seconds_ = 0.0;
+  /// Run-level counters and the outcome, filled in as the run goes; Run()
+  /// adds the per-worker sums and returns it.
+  AsyncResult result_;
 
   // --- node-level failure domains --------------------------------------------
   /// Per node: virtual time until which the node is down (0 = never crashed;
@@ -767,8 +719,6 @@ class AsyncEngine {
   /// Per node: resident workers (the ledger AuditNodeLedger checks against a
   /// scan). Sized with node_down_until_; maintained by MoveWorker.
   std::vector<uint32_t> node_worker_count_;
-  uint32_t node_crashes_ = 0;
-  uint32_t rack_crash_episodes_ = 0;
 
   // --- speculative backup workers --------------------------------------------
   /// At most one incubating backup per partition. `image` is a COPY of the
@@ -786,28 +736,17 @@ class AsyncEngine {
   /// Per worker: iteration clock at the previous speculation scan.
   std::vector<uint32_t> iters_at_scan_;
   double last_scan_time_ = 0.0;
-  uint32_t speculative_launches_ = 0;
-  uint32_t speculative_wins_ = 0;
-  uint32_t speculative_losses_ = 0;
 
-  // --- survivable control plane ----------------------------------------------
-  uint64_t tokens_lost_ = 0;
-  uint32_t token_regenerations_ = 0;
-  uint32_t stale_tokens_dropped_ = 0;
-  /// Regenerations since the last successfully completed circuit; drives the
-  /// regen timer's exponential backoff and resets in CompleteCircuit.
-  uint32_t consecutive_regens_ = 0;
-
-  // --- recovery telemetry ----------------------------------------------------
-  /// Downtime per completed crash→restore cycle: exponential buckets from
-  /// 50 ms (sub-restart-delay recoveries) to ~27 min of virtual downtime.
+  /// Downtime per completed crash→restore cycle (its sample count is the
+  /// recovery count): exponential buckets from 50 ms (sub-restart-delay
+  /// recoveries) to ~27 min of virtual downtime.
   Histogram downtime_{Histogram::Exponential(0.05, 2.0, 16)};
-  double downtime_total_ = 0.0;
-  uint32_t recoveries_ = 0;
 
-  /// Per partition: staleness lag at apply time (see AsyncResult). Built at
-  /// Run regardless of the obs config.
-  std::vector<Histogram> staleness_;
+  /// Staleness lag at apply time, all workers (see AsyncResult): bucket 0
+  /// covers lockstep and every sender-ahead lag, then powers of two out to
+  /// 1024 iterations, overflow beyond.
+  Histogram staleness_{
+      {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0}};
   /// Probe handles registered with config_.obs.metrics, removed in ~AsyncEngine.
   std::vector<size_t> metric_probe_ids_;
   /// Min worker clock cached by the "clock.min" probe for the per-worker
@@ -817,20 +756,6 @@ class AsyncEngine {
   bool trace_installed_ = false;
 
   bool running_ = false;
-  bool handlers_registered_ = false;
-  bool finished_ = false;
-  bool converged_ = false;
-  double final_residual_ = 0.0;
-  bool final_residual_known_ = true;
-  double start_time_ = 0.0;
-  double end_time_ = 0.0;
-  uint32_t token_circuits_ = 0;
-  double circuit_start_time_ = 0.0;  // adaptive backoff: current circuit launch
-  uint64_t total_batches_ = 0;
-  uint64_t total_records_ = 0;
-  uint64_t total_bytes_ = 0;
-  uint64_t total_coalesced_ = 0;
-  uint64_t total_coalesced_bytes_saved_ = 0;
 #ifdef AMR_AUDIT
   /// Loss-aware batch flows opened but not yet terminally acked — the
   /// right-hand side of the Safra ledger-balance audit (AuditSafraBalance,

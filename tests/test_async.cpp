@@ -509,6 +509,93 @@ TEST(QuiescentForTermination, WorkerMidRestartIsNotQuiescent) {
 
 // --- checkpoint/replay -------------------------------------------------------
 
+// --- termination detector over a fake ring ----------------------------------
+//
+// The detector sees workers only through its Ring callbacks, so these tests
+// stand in a ring of plain structs and flip them over virtual time. Each case
+// holds all but one proof condition true and checks the detector waits for
+// the last one. They cover the two conditions no engine-level suite notices
+// when dropped: sent == received, and the restart count matching the total
+// (the untainted and quiescent conditions and the stale-generation drop are
+// caught by test_async, test_obs, test_adversarial and test_chaos).
+
+// Every fake worker is quiescent and never dirty.
+struct FakeWorker {
+  uint64_t sent = 0;
+  uint64_t received = 0;
+  uint32_t epoch = 0;
+};
+
+struct FakeRing {
+  explicit FakeRing(size_t n) : workers(n) {}
+
+  async::TerminationDetector::Ring Ring(cluster::SimCluster& sim) {
+    async::TerminationDetector::Ring ring;
+    ring.size = static_cast<uint32_t>(workers.size());
+    ring.node_of = [&sim](uint32_t p) { return p % sim.spec().num_nodes(); };
+    ring.node_down = [](net::NodeId) { return false; };
+    ring.visit = [this](uint32_t p, async::ProgressToken& token) {
+      if (on_visit) on_visit(p, token);
+      FakeWorker& w = workers[p];
+      token.sent += w.sent;
+      token.received += w.received;
+      token.restarts += w.epoch;
+    };
+    ring.total_restarts = [this] {
+      uint32_t n = 0;
+      for (const FakeWorker& w : workers) n += w.epoch;
+      return n;
+    };
+    ring.on_proved = [this, &sim](const async::ProgressToken&) {
+      ++proofs;
+      proved_at = sim.now();
+    };
+    return ring;
+  }
+
+  std::vector<FakeWorker> workers;
+  std::function<void(uint32_t, const async::ProgressToken&)> on_visit;
+  int proofs = 0;
+  double proved_at = -1.0;
+};
+
+/// Runs a detector over `ring` to completion; returns the circuits it took.
+uint32_t RunDetector(cluster::SimCluster& sim, FakeRing& ring) {
+  async::TerminationDetector detector(sim, "fake", async::TokenTuning{},
+                                      nullptr, ring.Ring(sim));
+  detector.Start();
+  sim.RunUntilIdle();
+  EXPECT_TRUE(detector.done());
+  EXPECT_EQ(ring.proofs, 1);
+  return detector.circuits();
+}
+
+TEST(TerminationDetector, QuietRingProvesOnFirstCircuit) {
+  cluster::SimCluster sim(QuietSpec());
+  FakeRing ring(4);
+  EXPECT_EQ(RunDetector(sim, ring), 1u);
+}
+
+TEST(TerminationDetector, WaitsForSentToEqualReceived) {
+  cluster::SimCluster sim(QuietSpec());
+  FakeRing ring(4);
+  ring.workers[0].sent = 1;  // one batch in flight
+  sim.queue().Schedule(0.6, [&ring] { ring.workers[3].received = 1; });
+  RunDetector(sim, ring);
+  EXPECT_GT(ring.proved_at, 0.6);
+}
+
+TEST(TerminationDetector, RestartAfterItsVisitKeepsTheCircuitOpen) {
+  cluster::SimCluster sim(QuietSpec());
+  FakeRing ring(4);
+  // Worker 0 restarts right after the first circuit visited it; nothing is
+  // dirty, so only the restart count can tell that circuit is stale.
+  ring.on_visit = [&ring](uint32_t p, const async::ProgressToken& token) {
+    if (p == 1 && token.circuit == 0) ring.workers[0].epoch = 1;
+  };
+  EXPECT_EQ(RunDetector(sim, ring), 2u);
+}
+
 TEST(WorkerSnapshot, SerdeRoundTrip) {
   async::WorkerSnapshot snap;
   snap.partition = 5;
@@ -978,7 +1065,7 @@ TEST(AsyncCoalescing, PageRankMatchesOracleAndSavesFlows) {
   // each merged emission avoided one flow and one wire envelope.
   EXPECT_GT(stats.coalesced_batches, 0u);
   EXPECT_EQ(stats.coalesced_bytes_saved,
-            stats.coalesced_batches * async::AsyncConfig{}.update_envelope_bytes);
+            stats.coalesced_batches * async::kUpdateEnvelopeBytes);
   uint64_t worker_coalesced = 0;
   uint64_t sent = 0;
   uint64_t received = 0;

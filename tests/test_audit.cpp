@@ -182,9 +182,9 @@ TEST(AuditTokenGeneration, LiveGenerationDoesNotTrip) {
 
 TEST(AuditTokenGenerationDeathTest, StaleGenerationCompletingTrips) {
   SKIP_WITHOUT_AUDIT();
-  // A token whose generation trails the live counter reached CompleteCircuit:
-  // the HandleTokenAt drop failed, and a written-off circuit is about to
-  // double-terminate the run.
+  // A token whose generation trails the live counter completed a circuit: the
+  // detector's stale-generation drop failed, and a written-off circuit is
+  // about to double-terminate the run.
   EXPECT_DEATH(asyncmr::async::AuditTokenGeneration(/*token_generation=*/3,
                                                     /*live_generation=*/5),
                "stale token generation");

@@ -4,15 +4,26 @@
 Usage:
   python3 tools/bench_lines_match.py STORED.json RUN_OUTPUT.txt
 
-For every row the run printed for the stored file's bench, the last stored
-line with the same "app" must carry exactly the same fields and values. Exits
-1 and names each mismatch otherwise; a refactor that claims bit-identical
-results runs this on the full-scale bench.
+Rows are keyed per bench (KEYS below: "app" for ablation_async, "scenario"
+for ablation_chaos, "fail_prob" for ablation_faults, "knob" for
+ablation_hetero). For every row the run printed for the stored file's bench,
+the last stored line with the same key must carry exactly the same fields and
+values, and every stored key must appear in the run. Exits 1 and names each
+mismatch otherwise; a refactor that claims bit-identical results runs this on
+the full-scale bench.
 """
 import json
 import sys
 
-# The stored lines predate schema_version, so it is not compared.
+# The column that tells a bench's rows apart.
+KEYS = {
+    "ablation_async": "app",
+    "ablation_chaos": "scenario",
+    "ablation_faults": "fail_prob",
+    "ablation_hetero": "knob",
+}
+
+# Some stored lines predate schema_version, so it is not compared.
 IGNORED = {"schema_version"}
 
 
@@ -29,7 +40,12 @@ def main():
             if line.strip():
                 row = json.loads(line)
                 bench = row["bench"]
-                stored[row["app"]] = row  # the last line per app wins
+                if bench not in KEYS:
+                    print(f"{stored_path}: no row key known for bench {bench!r}",
+                          file=sys.stderr)
+                    return 2
+                stored[row[KEYS[bench]]] = row  # the last line per key wins
+    key = KEYS[bench]
 
     prefix = '{"bench":"%s"' % bench
     with open(run_path) as f:
@@ -41,18 +57,18 @@ def main():
     failures = []
     seen = set()
     for row in rows:
-        app = row["app"]
-        seen.add(app)
-        if app not in stored:
-            failures.append(f"{app}: no stored line")
+        name = row[key]
+        seen.add(name)
+        if name not in stored:
+            failures.append(f"{name}: no stored line")
             continue
-        want, got = strip(stored[app]), strip(row)
+        want, got = strip(stored[name]), strip(row)
         for field in sorted(set(want) | set(got)):
             if want.get(field) != got.get(field):
-                failures.append(f"{app}.{field}: stored {want.get(field)!r}, "
+                failures.append(f"{name}.{field}: stored {want.get(field)!r}, "
                                 f"run {got.get(field)!r}")
-    for app in sorted(set(stored) - seen):
-        failures.append(f"{app}: the run printed no row")
+    for name in sorted(set(stored) - seen):
+        failures.append(f"{name}: the run printed no row")
 
     if failures:
         print("\n".join(failures))
