@@ -182,9 +182,9 @@ class SimCluster::WaveRunner
     const double total_s = input_s + compute_s + output_s;  // startup already paid
 
     // --- transient failure draw ---------------------------------------------
-    // Hadoop kills the job after max_task_attempts; we instead force the last
-    // allowed attempt to succeed so simulations always make progress.
-    const bool may_fail = st.attempts < spec.max_task_attempts;
+    // The last of kMaxTaskAttempts always succeeds (see spec.hpp), so
+    // simulations always make progress.
+    const bool may_fail = st.attempts < kMaxTaskAttempts;
     const bool fails = may_fail && cluster_.rng_.NextBool(spec.task_failure_prob);
     auto self = shared_from_this();
     if (fails) {

@@ -21,6 +21,11 @@ struct NodeSpec {
   uint32_t reduce_slots = 2;
 };
 
+/// Attempts a wave task gets. Hadoop kills the job after this many failures;
+/// the simulator instead forces the last attempt to succeed, so a wave under
+/// any task_failure_prob fails at most kMaxTaskAttempts - 1 times per task.
+inline constexpr uint32_t kMaxTaskAttempts = 4;
+
 struct ClusterSpec {
   net::TopologyConfig topology;
   dfs::DfsConfig dfs;
@@ -59,7 +64,6 @@ struct ClusterSpec {
   // --- fault injection -------------------------------------------------------
   /// Probability an attempt fails partway (transient; Hadoop re-executes).
   double task_failure_prob = 0.0;
-  uint32_t max_task_attempts = 4;
   /// Poisson crash rate for the async engine's long-lived workers, in crashes
   /// per worker per virtual second (0 = no worker crashes). Wave tasks get
   /// fault tolerance from deterministic re-execution (task_failure_prob

@@ -1,27 +1,12 @@
-// Small string helpers shared by benches, I/O and logging.
+// String helpers: number formatting for bench and example output, and
+// ToLower for option parsing.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace asyncmr {
-
-/// Splits on a delimiter; empty tokens are kept.
-std::vector<std::string> Split(std::string_view s, char delim);
-
-/// Splits on any whitespace; empty tokens are dropped.
-std::vector<std::string> SplitWhitespace(std::string_view s);
-
-/// Joins with a delimiter.
-std::string Join(const std::vector<std::string>& parts, std::string_view delim);
-
-/// Trims ASCII whitespace from both ends.
-std::string_view Trim(std::string_view s);
-
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 std::string ToLower(std::string_view s);
 

@@ -16,21 +16,20 @@
 // synchronization, which costs no network time — only the per-iteration
 // barrier between lmap and lreduce within this task.
 //
-// lmap invocations may run on a thread pool (the paper's Section IV notes the
-// local operations "can use a thread-pool to extract further parallelism");
-// per-chunk emitters are merged in chunk order so results stay deterministic.
+// lmap invocations run serially on the host. The paper's Section IV notes the
+// local operations "can use a thread-pool to extract further parallelism", but
+// the simulator charges a local iteration by its summed operation count, so
+// host threads would change no virtual time.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 #include "mr/context.hpp"
 
 namespace asyncmr::core {
@@ -69,25 +68,6 @@ class LocalIntermediate {
   std::unordered_map<LK, LV>& combined() { return combined_; }
   uint64_t ops() const { return ops_; }
   uint64_t records() const { return records_; }
-
-  /// Merges another emitter's output (thread-pool chunk merge). Each key is
-  /// folded independently and chunks arrive in chunk order, so the visit
-  /// order within one chunk's table cannot leak into the result.
-  void Merge(LocalIntermediate&& other) {
-    if (combine_) {
-      for (auto& [k, v] : other.combined_) {  // lint:order-insensitive
-        auto [it, inserted] = combined_.try_emplace(k, v);
-        if (!inserted) it->second = combine_(it->second, v);
-      }
-    } else {
-      for (auto& [k, vs] : other.groups_) {  // lint:order-insensitive
-        auto& dst = groups_[k];
-        dst.insert(dst.end(), vs.begin(), vs.end());
-      }
-    }
-    ops_ += other.ops_;
-    records_ += other.records_;
-  }
 
  private:
   CombineFn combine_;
@@ -142,8 +122,6 @@ class LocalMapReduce {
 
   struct Config {
     uint32_t max_local_iterations = 1000;
-    /// >1 runs lmap over a thread pool (deterministic chunk merge).
-    uint32_t lmap_threads = 1;
     /// Optional associative combiner folded on EmitLocalIntermediate().
     typename LocalIntermediate<LK, LV>::CombineFn lcombine;
     /// Optional hook before each lmap phase (e.g. snapshot the hashtable into
@@ -214,27 +192,7 @@ class LocalMapReduce {
   LocalIntermediate<LK, LV> RunLmapPhase(std::span<const X> xs,
                                          const LocalState<LK, LV>& state) const {
     LocalIntermediate<LK, LV> out(config_.lcombine);
-    if (config_.lmap_threads <= 1 || xs.size() < 2 * config_.lmap_threads) {
-      for (const X& x : xs) lmap_(x, state, out);
-      return out;
-    }
-    // Thread-pool execution with deterministic chunk-order merge.
-    const size_t chunks = config_.lmap_threads;
-    const size_t chunk_size = (xs.size() + chunks - 1) / chunks;
-    std::vector<LocalIntermediate<LK, LV>> partials(
-        chunks, LocalIntermediate<LK, LV>(config_.lcombine));
-    ThreadPool& pool = GlobalThreadPool();
-    std::vector<std::future<void>> futs;
-    futs.reserve(chunks);
-    for (size_t c = 0; c < chunks; ++c) {
-      futs.push_back(pool.Submit([this, &xs, &state, &partials, c, chunk_size] {
-        const size_t lo = c * chunk_size;
-        const size_t hi = std::min(xs.size(), lo + chunk_size);
-        for (size_t i = lo; i < hi; ++i) lmap_(xs[i], state, partials[c]);
-      }));
-    }
-    for (auto& f : futs) f.get();
-    for (auto& p : partials) out.Merge(std::move(p));
+    for (const X& x : xs) lmap_(x, state, out);
     return out;
   }
 

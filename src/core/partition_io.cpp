@@ -29,21 +29,4 @@ std::vector<mr::SplitDesc> StagePartitionFiles(
   return mr::SplitsFromDfs(cluster, paths);
 }
 
-std::vector<serde::Buffer> SyntheticPartitionImages(
-    const std::vector<uint64_t>& partition_bytes) {
-  std::vector<serde::Buffer> images;
-  images.reserve(partition_bytes.size());
-  for (uint64_t bytes : partition_bytes) {
-    serde::Buffer buf;
-    buf.reserve(bytes);
-    // Cheap deterministic pattern; contents only matter for byte counts and
-    // checksums, the real records live in host memory.
-    for (uint64_t i = 0; i < bytes; ++i) {
-      buf.AppendByte(static_cast<uint8_t>(i * 0x9E & 0xFF));
-    }
-    images.push_back(std::move(buf));
-  }
-  return images;
-}
-
 }  // namespace asyncmr::core

@@ -22,10 +22,4 @@ std::vector<mr::SplitDesc> StagePartitionFiles(
     cluster::SimCluster& cluster, const std::string& prefix,
     const std::vector<serde::Buffer>& partition_images);
 
-/// Convenience: builds size-only partition images (content is an encoded
-/// counter pattern) when the caller keeps real data in memory but wants the
-/// DFS to hold a faithful byte count.
-std::vector<serde::Buffer> SyntheticPartitionImages(
-    const std::vector<uint64_t>& partition_bytes);
-
 }  // namespace asyncmr::core

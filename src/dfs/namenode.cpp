@@ -97,17 +97,4 @@ Status NameNode::CorruptReplica(const std::string& path, uint32_t replica_index)
   return Status::Ok();
 }
 
-std::vector<std::string> NameNode::ListFiles() const {
-  std::vector<std::string> out;
-  out.reserve(files_.size());
-  for (const auto& [path, meta] : files_) out.push_back(path);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-FileMeta* NameNode::MutableFile(const std::string& path) {
-  auto it = files_.find(path);
-  return it == files_.end() ? nullptr : &it->second;
-}
-
 }  // namespace asyncmr::dfs

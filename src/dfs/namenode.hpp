@@ -57,10 +57,6 @@ class NameNode {
 
   BlockId NextBlockId() { return next_block_id_++; }
 
-  std::vector<std::string> ListFiles() const;
-  size_t file_count() const { return files_.size(); }
-  FileMeta* MutableFile(const std::string& path);
-
  private:
   const net::Topology& topology_;
   uint32_t replication_;

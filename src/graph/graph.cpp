@@ -46,42 +46,10 @@ Digraph Digraph::FromEdges(VertexId num_vertices, std::vector<Edge> edges,
   return g;
 }
 
-Digraph Digraph::FromCsr(VertexId num_vertices, std::vector<uint64_t> offsets,
-                         std::vector<VertexId> targets, std::vector<double> weights) {
-  AMR_CHECK_EQ(offsets.size(), static_cast<size_t>(num_vertices) + 1);
-  AMR_CHECK_EQ(offsets.back(), targets.size());
-  AMR_CHECK(weights.empty() || weights.size() == targets.size());
-  Digraph g;
-  g.num_vertices_ = num_vertices;
-  g.offsets_ = std::move(offsets);
-  g.targets_ = std::move(targets);
-  g.weights_ = std::move(weights);
-  return g;
-}
-
 std::vector<uint32_t> Digraph::InDegrees() const {
   std::vector<uint32_t> degrees(num_vertices_, 0);
   for (VertexId t : targets_) degrees[t]++;
   return degrees;
-}
-
-std::vector<uint32_t> Digraph::OutDegrees() const {
-  std::vector<uint32_t> degrees(num_vertices_);
-  for (VertexId v = 0; v < num_vertices_; ++v) degrees[v] = OutDegree(v);
-  return degrees;
-}
-
-Digraph Digraph::Transpose() const {
-  std::vector<Edge> reversed;
-  reversed.reserve(targets_.size());
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    const auto neighbors = OutNeighbors(v);
-    const auto ws = OutWeights(v);
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      reversed.push_back({neighbors[i], v, ws.empty() ? 1.0 : ws[i]});
-    }
-  }
-  return FromEdges(num_vertices_, std::move(reversed), weighted());
 }
 
 std::vector<Edge> Digraph::ToEdges() const {

@@ -51,23 +51,14 @@ class Digraph {
 
   /// In-degree of every vertex (one O(m) pass).
   std::vector<uint32_t> InDegrees() const;
-  std::vector<uint32_t> OutDegrees() const;
-
-  /// Graph with every edge reversed (weights preserved).
-  Digraph Transpose() const;
 
   /// All edges, in CSR order.
   std::vector<Edge> ToEdges() const;
 
   std::string Describe() const;
 
-  /// Raw CSR access (serialization, partitioners).
-  const std::vector<uint64_t>& offsets() const { return offsets_; }
+  /// Raw CSR target array (every row's neighbors, concatenated).
   const std::vector<VertexId>& targets() const { return targets_; }
-  const std::vector<double>& weights() const { return weights_; }
-
-  static Digraph FromCsr(VertexId num_vertices, std::vector<uint64_t> offsets,
-                         std::vector<VertexId> targets, std::vector<double> weights);
 
  private:
   VertexId num_vertices_ = 0;

@@ -1,40 +1,8 @@
 #include "graph/graph_io.hpp"
 
-#include <algorithm>
-#include <sstream>
-
-#include "common/string_util.hpp"
 #include "serde/serde.hpp"
 
 namespace asyncmr::graph {
-
-serde::Buffer EncodeGraph(const Digraph& g) {
-  serde::Buffer buf;
-  serde::Writer w(buf);
-  w.WriteVarU64(g.num_vertices());
-  serde::Serde<std::vector<uint64_t>>::Write(w, g.offsets());
-  serde::Serde<std::vector<VertexId>>::Write(w, g.targets());
-  serde::Serde<std::vector<double>>::Write(w, g.weights());
-  return buf;
-}
-
-Result<Digraph> DecodeGraph(const serde::Buffer& buf) {
-  serde::Reader r(buf);
-  uint64_t n = 0;
-  AMR_RETURN_IF_ERROR(r.ReadVarU64(n));
-  std::vector<uint64_t> offsets;
-  std::vector<VertexId> targets;
-  std::vector<double> weights;
-  AMR_RETURN_IF_ERROR((serde::Serde<std::vector<uint64_t>>::Read(r, offsets)));
-  AMR_RETURN_IF_ERROR((serde::Serde<std::vector<VertexId>>::Read(r, targets)));
-  AMR_RETURN_IF_ERROR((serde::Serde<std::vector<double>>::Read(r, weights)));
-  if (offsets.size() != n + 1 || offsets.back() != targets.size() ||
-      (!weights.empty() && weights.size() != targets.size())) {
-    return Status::DataLoss("inconsistent CSR arrays");
-  }
-  return Digraph::FromCsr(static_cast<VertexId>(n), std::move(offsets),
-                          std::move(targets), std::move(weights));
-}
 
 serde::Buffer EncodePartitionImage(const Digraph& g,
                                    const std::vector<VertexId>& members) {
@@ -65,59 +33,6 @@ std::vector<serde::Buffer> EncodeAllPartitionImages(const Digraph& g,
     images.push_back(EncodePartitionImage(g, part_members));
   }
   return images;
-}
-
-std::string ToEdgeListText(const Digraph& g) {
-  std::ostringstream os;
-  os << "# vertices " << g.num_vertices() << "\n";
-  for (const Edge& e : g.ToEdges()) {
-    os << e.src << " " << e.dst;
-    if (g.weighted()) os << " " << e.weight;
-    os << "\n";
-  }
-  return os.str();
-}
-
-Result<Digraph> FromEdgeListText(const std::string& text) {
-  VertexId num_vertices = 0;
-  bool have_header = false;
-  bool weighted = false;
-  std::vector<Edge> edges;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto trimmed = Trim(line);
-    if (trimmed.empty()) continue;
-    if (trimmed[0] == '#') {
-      const auto tokens = SplitWhitespace(trimmed.substr(1));
-      if (tokens.size() == 2 && tokens[0] == "vertices") {
-        num_vertices = static_cast<VertexId>(std::stoul(tokens[1]));
-        have_header = true;
-      }
-      continue;
-    }
-    const auto tokens = SplitWhitespace(trimmed);
-    if (tokens.size() < 2) return Status::DataLoss("bad edge line: " + line);
-    Edge e;
-    try {
-      e.src = static_cast<VertexId>(std::stoul(tokens[0]));
-      e.dst = static_cast<VertexId>(std::stoul(tokens[1]));
-      if (tokens.size() >= 3) {
-        e.weight = std::stod(tokens[2]);
-        weighted = true;
-      }
-    } catch (const std::exception&) {
-      return Status::DataLoss("bad edge line: " + line);
-    }
-    edges.push_back(e);
-  }
-  if (!have_header) {
-    for (const Edge& e : edges) {
-      num_vertices = std::max({num_vertices, static_cast<VertexId>(e.src + 1),
-                               static_cast<VertexId>(e.dst + 1)});
-    }
-  }
-  return Digraph::FromEdges(num_vertices, std::move(edges), weighted);
 }
 
 }  // namespace asyncmr::graph

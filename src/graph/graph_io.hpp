@@ -1,20 +1,13 @@
-// Graph (de)serialization: whole graphs and per-partition subgraph images.
-// Partition images are what gets staged onto the simulated DFS as gmap input
-// files, so their encoded size drives the map-input cost model.
+// Per-partition subgraph images: what gets staged onto the simulated DFS as
+// gmap input files, so their encoded size drives the map-input cost model.
 #pragma once
 
-#include <string>
 #include <vector>
 
-#include "common/status.hpp"
 #include "graph/partition.hpp"
 #include "serde/buffer.hpp"
 
 namespace asyncmr::graph {
-
-/// Binary-encodes a whole graph (CSR arrays via serde).
-serde::Buffer EncodeGraph(const Digraph& g);
-Result<Digraph> DecodeGraph(const serde::Buffer& buf);
 
 /// Encodes the subgraph image a gmap task needs for one partition: the
 /// partition's vertices with their full out-adjacency (including cross edges,
@@ -25,9 +18,5 @@ serde::Buffer EncodePartitionImage(const Digraph& g,
 /// Encoded image sizes for every partition (for DFS staging / cost model).
 std::vector<serde::Buffer> EncodeAllPartitionImages(const Digraph& g,
                                                     const Partitioning& p);
-
-/// Text edge-list I/O ("src dst [weight]" per line) for interop.
-std::string ToEdgeListText(const Digraph& g);
-Result<Digraph> FromEdgeListText(const std::string& text);
 
 }  // namespace asyncmr::graph

@@ -16,8 +16,6 @@ struct Partitioning {
   uint32_t num_parts = 1;
   std::vector<uint32_t> part_of;  // vertex -> part
 
-  uint32_t PartOf(VertexId v) const { return part_of[v]; }
-
   /// Vertices of each part, ascending.
   std::vector<std::vector<VertexId>> Members() const;
 

@@ -27,10 +27,6 @@ DegreeDistribution InDegreeDistribution(const Digraph& g) {
   return Distribution(g.InDegrees());
 }
 
-DegreeDistribution OutDegreeDistribution(const Digraph& g) {
-  return Distribution(g.OutDegrees());
-}
-
 PowerLawFit FitInDegreePowerLaw(const Digraph& g, uint32_t k_min) {
   PowerLawFit fit;
   fit.k_min = k_min;

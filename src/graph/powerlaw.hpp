@@ -18,7 +18,6 @@ struct DegreeDistribution {
 };
 
 DegreeDistribution InDegreeDistribution(const Digraph& g);
-DegreeDistribution OutDegreeDistribution(const Digraph& g);
 
 struct PowerLawFit {
   double exponent = 0.0;    // alpha in p(k) ~ k^-alpha (MLE)

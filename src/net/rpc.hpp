@@ -45,20 +45,6 @@ class RpcSystem {
             serde::Buffer request, ReplyCallback on_reply,
             std::function<void()> on_failed = nullptr);
 
-  /// Typed convenience wrapper.
-  template <typename Req, typename Resp>
-  void CallTyped(NodeId from, NodeId to, const std::string& method, const Req& req,
-                 std::function<void(Result<Resp>)> on_reply) {
-    Call(from, to, method, serde::Encode(req),
-         [cb = std::move(on_reply)](Result<serde::Buffer> reply) {
-           if (!reply.ok()) {
-             cb(reply.status());
-             return;
-           }
-           cb(serde::Decode<Resp>(reply.value()));
-         });
-  }
-
   uint64_t calls_made() const { return calls_made_; }
 
  private:

@@ -133,11 +133,6 @@ void TraceSink::SetThreadName(uint32_t pid, uint32_t tid, std::string name) {
   row_names_.push_back({pid, tid, false, std::move(name)});
 }
 
-void TraceSink::Clear() {
-  events_.clear();
-  row_names_.clear();
-}
-
 size_t TraceSink::CountNamed(const char* name) const {
   size_t n = 0;
   const std::string target(name);

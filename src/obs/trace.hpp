@@ -89,7 +89,6 @@ class TraceSink {
 
   const std::vector<Event>& events() const { return events_; }
   size_t num_events() const { return events_.size(); }
-  void Clear();
 
   /// Counts events whose name matches exactly (test/debug convenience).
   size_t CountNamed(const char* name) const;

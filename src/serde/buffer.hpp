@@ -42,7 +42,6 @@ class Buffer {
   std::span<const uint8_t> view() const { return {bytes_.data(), bytes_.size()}; }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
-  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
 
   friend bool operator==(const Buffer& a, const Buffer& b) { return a.bytes_ == b.bytes_; }
 

@@ -30,9 +30,6 @@ class KvWriter {
   size_t byte_size() const { return buffer_.size(); }
   const Buffer& buffer() const { return buffer_; }
 
-  /// Pre-sizes the record buffer (e.g. from a known encoded size).
-  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
-
   /// Clears the stream for reuse; the buffer keeps its capacity.
   void Reset() {
     buffer_.clear();

@@ -107,6 +107,21 @@ TEST(SimCluster, TransientFailuresRetryAndComplete) {
   EXPECT_EQ(executions, 20);
 }
 
+TEST(SimCluster, CertainFailureStopsAtAttemptCap) {
+  // Every attempt that may fail does; the last of kMaxTaskAttempts is forced
+  // to succeed, so each task fails exactly kMaxTaskAttempts - 1 times.
+  ClusterSpec spec = QuietSpec();
+  spec.task_failure_prob = 1.0;
+  SimCluster cluster(spec);
+  constexpr uint32_t kTasks = 12;
+  std::vector<TaskSpec> tasks;
+  for (uint32_t i = 0; i < kTasks; ++i) tasks.push_back(SimpleTask("t", 1'000'000));
+  const WaveResult result = cluster.RunWaveBlocking(std::move(tasks), SlotType::kMap);
+  ASSERT_EQ(result.tasks.size(), kTasks);
+  EXPECT_EQ(result.failed_attempts, kTasks * (kMaxTaskAttempts - 1));
+  for (const TaskOutcome& o : result.tasks) EXPECT_EQ(o.attempts, kMaxTaskAttempts);
+}
+
 TEST(SimCluster, FailuresExtendMakespan) {
   ClusterSpec base = QuietSpec();
   base.heartbeat_interval_s = 0.1;

@@ -112,36 +112,32 @@ TEST(LocalMapReduce, CombinerMatchesPlainGrouping) {
   }
 }
 
-TEST(LocalMapReduce, ThreadPoolMatchesSerial) {
-  std::vector<uint32_t> xs(200);
-  for (uint32_t i = 0; i < xs.size(); ++i) xs[i] = i;
+TEST(LocalMapReduce, LreduceVisitsKeysInAscendingOrder) {
+  // lmap emits keys in descending order and strided across hash buckets;
+  // lreduce must still see them ascending, with and without a combiner.
+  std::vector<uint32_t> xs(64);
+  for (uint32_t i = 0; i < xs.size(); ++i) xs[i] = (63 - i) * 7919;
   auto lmap = [](const uint32_t& x, const LocalState<uint32_t, double>&,
                  LocalIntermediate<uint32_t, double>& out) {
-    out.EmitLocalIntermediate(x % 7, static_cast<double>(x));
-  };
-  auto lreduce = [](const uint32_t& k, const std::vector<double>& vs,
-                    const LocalState<uint32_t, double>&,
-                    LocalReduceContext<uint32_t, double>& ctx) {
-    double sum = 0;
-    for (double v : vs) sum += v;
-    ctx.EmitLocal(k, sum);
+    out.EmitLocalIntermediate(x, 1.0);
   };
   auto once = [](const LocalState<uint32_t, double>&,
                  const LocalState<uint32_t, double>&, uint32_t) { return true; };
+  std::vector<uint32_t> expected(xs.rbegin(), xs.rend());
 
-  LocalState<uint32_t, double> serial_state;
-  LocalMapReduce<uint32_t, uint32_t, double> serial(lmap, lreduce, once);
-  serial.Run(xs, serial_state);
-
-  LocalMapReduce<uint32_t, uint32_t, double>::Config config;
-  config.lmap_threads = 4;
-  LocalState<uint32_t, double> parallel_state;
-  LocalMapReduce<uint32_t, uint32_t, double> parallel(lmap, lreduce, once, config);
-  parallel.Run(xs, parallel_state);
-
-  ASSERT_EQ(serial_state.size(), parallel_state.size());
-  for (const auto& [k, v] : serial_state) {
-    EXPECT_DOUBLE_EQ(v, parallel_state.at(k));
+  for (const bool combine : {false, true}) {
+    std::vector<uint32_t> seen;
+    auto lreduce = [&seen](const uint32_t& k, const std::vector<double>&,
+                           const LocalState<uint32_t, double>&,
+                           LocalReduceContext<uint32_t, double>&) {
+      seen.push_back(k);
+    };
+    LocalMapReduce<uint32_t, uint32_t, double>::Config config;
+    if (combine) config.lcombine = [](const double& a, const double& b) { return a + b; };
+    LocalState<uint32_t, double> state;
+    LocalMapReduce<uint32_t, uint32_t, double>(lmap, lreduce, once, config)
+        .Run(xs, state);
+    EXPECT_EQ(seen, expected) << (combine ? "with" : "without") << " lcombine";
   }
 }
 
@@ -311,7 +307,12 @@ TEST(RunTrace, Aggregation) {
 
 TEST(PartitionIo, StageCreatesLocatedSplits) {
   cluster::SimCluster sim(QuietSpec());
-  auto images = SyntheticPartitionImages({1000, 2000, 3000});
+  std::vector<serde::Buffer> images(3);
+  for (uint32_t p = 0; p < images.size(); ++p) {
+    for (uint32_t i = 0; i < 1000 * (p + 1); ++i) {
+      images[p].AppendByte(static_cast<uint8_t>(i));
+    }
+  }
   const auto splits = StagePartitionFiles(sim, "/stage", images);
   ASSERT_EQ(splits.size(), 3u);
   EXPECT_EQ(splits[0].input_bytes, 1000u);

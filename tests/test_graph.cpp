@@ -1,4 +1,4 @@
-// Unit tests: CSR digraph, generators, power-law fit, graph I/O.
+// Unit tests: CSR digraph, generators, power-law fit, partition images.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -38,29 +38,6 @@ TEST(Digraph, InDegrees) {
   EXPECT_EQ(in[1], 3u);
   EXPECT_EQ(in[0], 1u);
   EXPECT_EQ(in[2], 0u);
-}
-
-TEST(Digraph, TransposeInvolution) {
-  const Digraph g = Digraph::FromEdges(
-      5, {{0, 1, 2.0}, {1, 2, 3.0}, {3, 4, 1.5}, {4, 0, 0.5}}, true);
-  const Digraph gt = g.Transpose();
-  EXPECT_EQ(gt.num_edges(), g.num_edges());
-  EXPECT_EQ(gt.OutNeighbors(1)[0], 0u);
-  const Digraph gtt = gt.Transpose();
-  EXPECT_EQ(gtt.ToEdges().size(), g.ToEdges().size());
-  // Round trip preserves the weighted edge set.
-  auto norm = [](std::vector<Edge> es) {
-    std::sort(es.begin(), es.end(), [](const Edge& a, const Edge& b) {
-      return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
-    });
-    return es;
-  };
-  const auto a = norm(g.ToEdges()), b = norm(gtt.ToEdges());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].src, b[i].src);
-    EXPECT_EQ(a[i].dst, b[i].dst);
-    EXPECT_DOUBLE_EQ(a[i].weight, b[i].weight);
-  }
 }
 
 TEST(Digraph, WeightsPreserved) {
@@ -166,36 +143,6 @@ TEST(Generator, RandomWeightsInRange) {
     EXPECT_GE(e.weight, 1.0);
     EXPECT_LT(e.weight, 10.0);
   }
-}
-
-TEST(GraphIo, BinaryRoundTrip) {
-  const Digraph g = WithRandomWeights(ErdosRenyi(200, 1000, 9), 0.5, 2.0, 10);
-  const auto buf = EncodeGraph(g);
-  const auto decoded = DecodeGraph(buf);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().num_vertices(), g.num_vertices());
-  EXPECT_EQ(decoded.value().targets(), g.targets());
-  EXPECT_EQ(decoded.value().weights(), g.weights());
-}
-
-TEST(GraphIo, CorruptBufferRejected) {
-  const auto buf = EncodeGraph(Triangle());
-  std::vector<uint8_t> bytes(buf.bytes().begin(), buf.bytes().end() - 3);
-  EXPECT_FALSE(DecodeGraph(serde::Buffer{std::move(bytes)}).ok());
-}
-
-TEST(GraphIo, EdgeListTextRoundTrip) {
-  const Digraph g = Digraph::FromEdges(4, {{0, 1, 2.0}, {2, 3, 0.5}}, true);
-  const auto text = ToEdgeListText(g);
-  const auto decoded = FromEdgeListText(text);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().num_vertices(), 4u);
-  EXPECT_EQ(decoded.value().num_edges(), 2u);
-  EXPECT_DOUBLE_EQ(decoded.value().OutWeights(0)[0], 2.0);
-}
-
-TEST(GraphIo, BadTextRejected) {
-  EXPECT_FALSE(FromEdgeListText("1 banana").ok());
 }
 
 TEST(GraphIo, PartitionImageSizesTrackMembers) {

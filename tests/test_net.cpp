@@ -308,11 +308,13 @@ TEST(Rpc, EchoCall) {
     return Result<serde::Buffer>(req);
   });
   std::string reply_text;
-  rpc.CallTyped<std::string, std::string>(
-      0, 3, "echo", "hello", [&](Result<std::string> reply) {
-        ASSERT_TRUE(reply.ok());
-        reply_text = *reply;
-      });
+  rpc.Call(0, 3, "echo", serde::Encode(std::string("hello")),
+           [&](Result<serde::Buffer> reply) {
+             ASSERT_TRUE(reply.ok());
+             auto decoded = serde::Decode<std::string>(*reply);
+             ASSERT_TRUE(decoded.ok());
+             reply_text = *decoded;
+           });
   q.RunUntilEmpty();
   EXPECT_EQ(reply_text, "hello");
   EXPECT_EQ(rpc.calls_made(), 1u);
