@@ -35,7 +35,10 @@ namespace asyncmr::bench {
 ///        ablation_chaos lines introduced
 ///   v5 — the sharded DES mode is deleted: scale_async drops des_mode and
 ///        micro_des drops its four sharded-anchor columns
-inline constexpr int kBenchSchemaVersion = 5;
+///   v6 — the calendar queue is deleted: scale_async drops queue_mode;
+///        micro_des drops the calendar and one-bucket columns and gains
+///        retime_events_per_sec
+inline constexpr int kBenchSchemaVersion = 6;
 
 /// Owns the optional observability sinks for a bench binary, resolved from
 /// BenchOptions (--trace-out / --metrics-out / AMR_TRACE_OUT / ...). When

@@ -18,10 +18,7 @@
 //   {"bench":"micro_des","schema_version":V,"scale":S,"seed":N,
 //    "churn_events_per_sec":E,"churn_legacy_events_per_sec":E,
 //    "cancel_events_per_sec":E,"cancel_legacy_events_per_sec":E,
-//    "queue_speedup":X,
-//    "churn_calendar_events_per_sec":E,"cancel_calendar_events_per_sec":E,
-//    "calendar_speedup":X,
-//    "onebucket_heap_events_per_sec":E,"onebucket_calendar_events_per_sec":E,
+//    "queue_speedup":X,"retime_events_per_sec":E,
 //    "net_churn_events_per_sec":E,"net_churn_reference_events_per_sec":E,
 //    "net_rebalance_speedup":X,
 //    "async_pagerank_wall_s":T,"wave_pagerank_wall_s":T,
@@ -32,19 +29,19 @@
 // completions) per wall-second, for the incremental endpoint-local
 // rebalancer vs the retained O(F) full-reference rebalancer.
 //
-// The *_calendar_* fields rerun the queue micros with QueueMode::kCalendar
-// (same workload, byte-identical firing order); the onebucket_* pair is the
-// pathological distribution — every pending event at ONE timestamp — where
-// the calendar's sorted-bucket insert degrades and the heap does not.
+// retime_events_per_sec is the rebalancer's access pattern on the slab
+// queue alone: ~20 live completion events, each firing followed by several
+// in-place Reschedule calls (see RetimeEventsPerSec).
 //
 // Honours AMR_SCALE / AMR_SEED like the figure benches.
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <queue>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -138,18 +135,6 @@ class LegacyEventQueue {
   std::unordered_set<EventId> cancelled_;
 };
 
-/// Constructs the benched queue, forwarding the far-store mode to the slab
-/// queue; the legacy baseline has no modes and ignores it.
-template <typename Queue>
-Queue MakeQueue(sim::QueueMode mode) {
-  if constexpr (std::is_constructible_v<Queue, sim::QueueMode>) {
-    return Queue(mode);
-  } else {
-    (void)mode;
-    return Queue{};
-  }
-}
-
 /// Shared per-run state the event callables point into.
 struct ChainState {
   uint64_t remaining = 0;
@@ -195,11 +180,10 @@ struct ChurnEvent {
 };
 
 template <typename Queue>
-double ChurnEventsPerSec(uint64_t total_events, uint32_t width,
-                         sim::QueueMode mode = sim::QueueMode::kHeap) {
+double ChurnEventsPerSec(uint64_t total_events, uint32_t width) {
   static_assert(sizeof(ChurnEvent<Queue>) <= sim::EventFn::kInlineBytes,
                 "churn callable must exercise the inline-storage path");
-  Queue q = MakeQueue<Queue>(mode);
+  Queue q;
   ChainState state;
   state.remaining = total_events;
   const double wall = WallSeconds([&] {
@@ -241,12 +225,11 @@ struct CancelEvent {
 };
 
 template <typename Queue>
-double CancelEventsPerSec(uint64_t total_events, uint32_t width,
-                          sim::QueueMode mode = sim::QueueMode::kHeap) {
+double CancelEventsPerSec(uint64_t total_events, uint32_t width) {
   static_assert(sizeof(CancelEvent<Queue>) <= sim::EventFn::kInlineBytes &&
                     sizeof(NoopEvent) <= sim::EventFn::kInlineBytes,
                 "cancel callables must exercise the inline-storage path");
-  Queue q = MakeQueue<Queue>(mode);
+  Queue q;
   ChainState state;
   state.remaining = total_events / kFlowsPerLane;
   state.armed.assign(static_cast<size_t>(width) * kFlowsPerLane, 0);
@@ -260,26 +243,75 @@ double CancelEventsPerSec(uint64_t total_events, uint32_t width,
   return static_cast<double>(state.processed) / wall;
 }
 
-/// Pathological distribution for the calendar: every pending event at ONE
-/// timestamp, so all keys land in a single bucket and the sorted-descending
-/// insert degrades toward O(n) per op (ascending seqs insert at the front).
-/// The heap takes the same workload at O(log n). Reported for both modes so
-/// the trajectory records the honest worst case, not just the win.
-double OneBucketEventsPerSec(sim::QueueMode mode, uint64_t total_events,
-                             uint32_t batch) {
-  sim::EventQueue q(mode);
-  ChainState state;
-  uint64_t scheduled = 0;
-  const double wall = WallSeconds([&] {
-    while (scheduled < total_events) {
-      for (uint32_t i = 0; i < batch; ++i) {
-        q.ScheduleAfter(1.0, NoopEvent{EventPayload{&state, i, {}}});
-      }
-      scheduled += batch;
-      q.RunUntilEmpty();
+/// Rebalancer-shaped retime: kRetimeLive flow-completion events stay live.
+/// Each firing completes a flow, starts its successor (log-uniform duration,
+/// 10 ms to 2.56 s, so long flows outlive many short ones), and then — like
+/// net::Network::ReRateNode after a flow starts or ends — rescales
+/// kRetimesPerFire other flows' remaining time by a rate-change factor in
+/// [0.5, 2) (kept within [1 ms, 5.12 s], as a flow's bytes bound it) and
+/// moves their completion events in place with Reschedule. A long flow is
+/// retimed many times before it completes: the pattern that filled the
+/// pre-index heap with stale keys. Returns (fired + retimed) queue
+/// operations per wall-second.
+inline constexpr uint32_t kRetimeLive = 20;
+inline constexpr uint32_t kRetimesPerFire = 4;
+
+struct RetimeState {
+  uint64_t remaining = 0;
+  uint64_t processed = 0;
+  uint64_t rng = 0x9E3779B97F4A7C15ull;
+  std::array<sim::EventId, kRetimeLive> ids{};  // 0 once a lane has stopped
+  std::array<sim::SimTime, kRetimeLive> due{};
+
+  double Uniform() {  // xorshift64: deterministic, cheap next to the queue ops
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return static_cast<double>(rng >> 11) * 0x1.0p-53;
+  }
+  void Start(sim::EventQueue& q, uint32_t lane);
+};
+
+struct RetimeEvent {
+  sim::EventQueue* q = nullptr;
+  RetimeState* s = nullptr;
+  uint32_t lane = 0;
+  void operator()() const {
+    ++s->processed;
+    s->ids[lane] = 0;
+    if (s->remaining == 0) return;
+    --s->remaining;
+    s->Start(*q, lane);
+    for (uint32_t k = 0; k < kRetimesPerFire; ++k) {
+      const auto other = static_cast<uint32_t>(
+          lane + 1 + s->Uniform() * (kRetimeLive - 1)) % kRetimeLive;
+      if (s->ids[other] == 0) continue;
+      const sim::SimTime now = q->now();
+      const double left =
+          (s->due[other] - now) * std::exp2(2.0 * s->Uniform() - 1.0);
+      s->due[other] = now + std::clamp(left, 0.001, 5.12);
+      s->ids[other] = q->Reschedule(s->ids[other], s->due[other]);
+      ++s->processed;
     }
+  }
+};
+
+void RetimeState::Start(sim::EventQueue& q, uint32_t lane) {
+  due[lane] = q.now() + 0.01 * std::exp2(8.0 * Uniform());
+  ids[lane] = q.Schedule(due[lane], RetimeEvent{&q, this, lane});
+}
+
+double RetimeEventsPerSec(uint64_t total_ops) {
+  static_assert(sizeof(RetimeEvent) <= sim::EventFn::kInlineBytes,
+                "retime callable must exercise the inline-storage path");
+  sim::EventQueue q;
+  RetimeState state;
+  state.remaining = total_ops / (1 + kRetimesPerFire);
+  const double wall = WallSeconds([&] {
+    for (uint32_t lane = 0; lane < kRetimeLive; ++lane) state.Start(q, lane);
+    q.RunUntilEmpty();
   });
-  return static_cast<double>(q.fired_count()) / wall;
+  return static_cast<double>(state.processed) / wall;
 }
 
 /// Network churn: `lanes` concurrent flow chains over a 64-node cloud-ish
@@ -352,27 +384,9 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "cancel: %12.0f op/s   (legacy %12.0f op/s, %.2fx)\n",
                cancel, cancel_legacy, cancel / cancel_legacy);
 
-  // Same workloads through the calendar far store (byte-identical firing
-  // order; only the container changes), plus the one-bucket worst case.
-  const double churn_cal = ChurnEventsPerSec<sim::EventQueue>(
-      n_events, width, sim::QueueMode::kCalendar);
-  const double cancel_cal = CancelEventsPerSec<sim::EventQueue>(
-      n_events, width, sim::QueueMode::kCalendar);
-  const double cal_speedup =
-      0.5 * (churn_cal / churn) + 0.5 * (cancel_cal / cancel);
-  std::fprintf(stderr,
-               "calendar: churn %12.0f ev/s (%.2fx heap), cancel %12.0f op/s "
-               "(%.2fx heap)\n",
-               churn_cal, churn_cal / churn, cancel_cal, cancel_cal / cancel);
-  const uint64_t n_onebucket = std::max<uint64_t>(n_events / 8, 10'000);
-  const double onebucket_heap =
-      OneBucketEventsPerSec(sim::QueueMode::kHeap, n_onebucket, 1024);
-  const double onebucket_cal =
-      OneBucketEventsPerSec(sim::QueueMode::kCalendar, n_onebucket, 1024);
-  std::fprintf(stderr,
-               "one-bucket pileup: heap %12.0f ev/s, calendar %12.0f ev/s "
-               "(%.2fx — pathological by design)\n",
-               onebucket_heap, onebucket_cal, onebucket_cal / onebucket_heap);
+  const double retime = RetimeEventsPerSec(n_events);
+  std::fprintf(stderr, "retime: %12.0f op/s   (%u live, %u retimes per fire)\n",
+               retime, kRetimeLive, kRetimesPerFire);
 
   // --- fluid-network churn micro --------------------------------------------
   // ~1024 flows concurrently active on 64 nodes: the full-reference
@@ -432,12 +446,7 @@ int main(int argc, char** argv) {
       "{\"bench\":\"micro_des\",\"schema_version\":%d,\"scale\":%g,\"seed\":%llu,"
       "\"churn_events_per_sec\":%.0f,\"churn_legacy_events_per_sec\":%.0f,"
       "\"cancel_events_per_sec\":%.0f,\"cancel_legacy_events_per_sec\":%.0f,"
-      "\"queue_speedup\":%.3f,"
-      "\"churn_calendar_events_per_sec\":%.0f,"
-      "\"cancel_calendar_events_per_sec\":%.0f,"
-      "\"calendar_speedup\":%.3f,"
-      "\"onebucket_heap_events_per_sec\":%.0f,"
-      "\"onebucket_calendar_events_per_sec\":%.0f,"
+      "\"queue_speedup\":%.3f,\"retime_events_per_sec\":%.0f,"
       "\"net_churn_events_per_sec\":%.0f,"
       "\"net_churn_reference_events_per_sec\":%.0f,"
       "\"net_rebalance_speedup\":%.3f,"
@@ -445,8 +454,8 @@ int main(int argc, char** argv) {
       "\"async_virtual_s\":%.4f,\"async_total_iterations\":%llu}\n",
       bench::kBenchSchemaVersion, opts.scale,
       static_cast<unsigned long long>(opts.seed), churn,
-      churn_legacy, cancel, cancel_legacy, speedup, churn_cal, cancel_cal,
-      cal_speedup, onebucket_heap, onebucket_cal, net_churn, net_churn_ref,
+      churn_legacy, cancel, cancel_legacy, speedup, retime, net_churn,
+      net_churn_ref,
       net_churn / net_churn_ref, async_wall, wave_wall, async_stats.seconds(),
       static_cast<unsigned long long>(async_stats.total_iterations));
   obs_session.FlushOrWarn();

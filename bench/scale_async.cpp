@@ -18,21 +18,18 @@
 // runs). Iteration caps keep cells bounded; converged flags are reported, not
 // assumed.
 //
-// P >= 4096 is the speed tier: those cells run with QueueMode::kCalendar
-// (differentially pinned bit-identical to the heap default by
-// tests/test_sim.cpp and tests/test_pagerank.cpp), and only the coalesced
-// PageRank variant runs — the SSSP and K-Means cells, and PageRank's uncoalesced
-// variant, are SKIPPED and logged explicitly, not silently: at ~12 vertices
-// per partition the apps' fixed per-iteration engine traffic dwarfs any
-// convergence signal, and the off-vs-on crossover is already established on
-// the 64-1024 rows at ~9x the cell cost. Every cell's JSON records which
-// far-future event store produced it (queue_mode).
+// P >= 4096 is the speed tier: only the coalesced PageRank variant runs,
+// with a trimmed iteration budget — the SSSP and K-Means cells, and
+// PageRank's uncoalesced variant, are SKIPPED and logged explicitly, not
+// silently: at ~12 vertices per partition the apps' fixed per-iteration
+// engine traffic dwarfs any convergence signal, and the off-vs-on crossover
+// is already established on the 64-1024 rows at ~9x the cell cost.
 //
 // Output: human-readable rows to stderr, one JSON line per (app, P) cell to
 // stdout — append them to BENCH_scale_async.json. Schema (numbers):
 //
 //   {"bench":"scale_async","schema_version":V,"app":A,"P":N,"nodes":N,
-//    "scale":S,"seed":N,"queue_mode":M,
+//    "scale":S,"seed":N,
 //    "rate_tolerance":T,"off_skipped":B,
 //    "off_wall_s":T,"off_virtual_s":T,"off_iters":N,"off_flows":N,
 //    "off_net_bytes":N,"off_converged":B,
@@ -91,17 +88,15 @@ struct Cell {
 /// (stragglers, jitter) and keeps rebalance work amortized O(1) per event.
 constexpr double kRateTolerance = 0.05;
 
-/// From this P up, cells run the speed tier: the calendar far store, pinned
-/// bit-identical to the heap default by tests/test_sim.cpp and
-/// tests/test_pagerank.cpp, so the trajectory stays comparable across modes.
-constexpr uint32_t kPerfModeP = 4096;
+/// From this P up, cells run the speed tier: coalesced PageRank only, on a
+/// trimmed iteration budget.
+constexpr uint32_t kSpeedTierP = 4096;
 
-bool UsesPerfModes(uint32_t p) { return p >= kPerfModeP; }
+bool IsSpeedTier(uint32_t p) { return p >= kSpeedTierP; }
 
 cluster::ClusterSpec CloudSpecFor(uint32_t p) {
   auto spec = cluster::ClusterSpec::Cloud(std::max<uint32_t>(8, p / 8));
   spec.topology.fluid_rate_tolerance = kRateTolerance;
-  if (UsesPerfModes(p)) spec.queue_mode = sim::QueueMode::kCalendar;
   return spec;
 }
 
@@ -148,7 +143,6 @@ void EmitJson(const char* app, uint32_t p, const BenchOptions& opts,
       "{\"bench\":\"scale_async\",\"schema_version\":%d,\"app\":\"%s\","
       "\"P\":%u,\"nodes\":%u,"
       "\"scale\":%g,\"seed\":%llu,"
-      "\"queue_mode\":\"%s\","
       "\"rate_tolerance\":%g,\"off_skipped\":%d,"
       "\"off_wall_s\":%.3f,\"off_virtual_s\":%.3f,\"off_iters\":%llu,"
       "\"off_flows\":%llu,\"off_net_bytes\":%llu,\"off_converged\":%d,"
@@ -160,7 +154,7 @@ void EmitJson(const char* app, uint32_t p, const BenchOptions& opts,
       "\"net_busy_s\":%.3f,\"token_circuits\":%u}\n",
       bench::kBenchSchemaVersion, app, p, CloudSpecFor(p).num_nodes(), opts.scale,
       static_cast<unsigned long long>(opts.seed),
-      UsesPerfModes(p) ? "calendar" : "heap", kRateTolerance,
+      kRateTolerance,
       c.off_skipped ? 1 : 0, c.off.wall_s,
       c.off.stats.seconds(),
       static_cast<unsigned long long>(c.off.stats.total_iterations),
@@ -225,8 +219,8 @@ int main(int argc, char** argv) {
   for (uint32_t p : sweep) std::fprintf(stderr, " %u", p);
   std::fprintf(stderr,
                " (AMR_MIN_P=%u, AMR_MAX_P=%u), both coalescing variants; "
-               "P >= %u runs the calendar queue\n\n",
-               min_p, max_p, kPerfModeP);
+               "P >= %u runs coalesced PageRank only\n\n",
+               min_p, max_p, kSpeedTierP);
 
   // One shared power-law graph, sized so the largest P still gets non-trivial
   // partitions (~48 vertices each at P = 1024, scale 1) — the regime where
@@ -267,13 +261,13 @@ int main(int argc, char** argv) {
       // convergence, end these cells), so the speed tier trims the budget to
       // keep the P = 4096 row bounded — it measures engine throughput, and
       // ~160k worker iterations are plenty of signal.
-      pr.max_global_iterations = UsesPerfModes(p) ? 10 : 40;
+      pr.max_global_iterations = IsSpeedTier(p) ? 10 : 40;
       const bool traced_cell = p == sweep.back();
       // At the speed tier the off variant is skipped like K-Means at 1024:
       // the off-vs-on crossover is established on the 64-1024 rows, and the
       // uncoalesced variant costs ~9x the cell (P=1024: 290s vs 33s) to
       // re-measure it. Logged, not silent.
-      const bool skip_off = UsesPerfModes(p);
+      const bool skip_off = IsSpeedTier(p);
       const Cell cell = RunCell(
           p,
           [&](cluster::SimCluster& sim, const async::EngineTuning& tuning,
@@ -291,7 +285,7 @@ int main(int argc, char** argv) {
       EmitJson("pagerank", p, opts, cell);
     }
 
-    if (UsesPerfModes(p)) {
+    if (IsSpeedTier(p)) {
       // The speed tier measures the engine at scale through the PageRank
       // cell; say exactly which cells did NOT run rather than leaving holes
       // in the trajectory.

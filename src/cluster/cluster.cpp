@@ -308,7 +308,6 @@ class SimCluster::WaveRunner
 
 SimCluster::SimCluster(ClusterSpec spec)
     : spec_(std::move(spec)),
-      queue_(spec_.queue_mode),
       network_(queue_, net::Topology(spec_.topology),
                net::RebalanceMode::kIncremental, MixSeed(spec_.seed, 0xAD7E)),
       rpc_(network_),

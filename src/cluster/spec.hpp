@@ -10,7 +10,6 @@
 
 #include "dfs/dfs.hpp"
 #include "net/topology.hpp"
-#include "sim/event_queue.hpp"
 
 namespace asyncmr::cluster {
 
@@ -112,13 +111,6 @@ struct ClusterSpec {
   double speculative_factor = 0.0;
 
   uint64_t seed = 42;
-
-  /// Far-future event store for the simulation kernel. kHeap is the exact
-  /// default every stored BENCH trajectory pins; kCalendar pops the byte-
-  /// identical event sequence O(1) amortized per op (bench/micro_des
-  /// measures the crossover; tests/test_sim.cpp and tests/test_pagerank.cpp
-  /// pin the equivalence).
-  sim::QueueMode queue_mode = sim::QueueMode::kHeap;
 
   /// The paper's testbed (Table I): 8 EC2 extra-large instances.
   static ClusterSpec Ec2Large8();

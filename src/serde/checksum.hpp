@@ -1,6 +1,7 @@
-// CRC32 (IEEE, table-driven) for DFS block integrity. The simulated DFS
-// checksums every block on write and verifies on read so injected corruption
-// surfaces as kDataLoss, mirroring HDFS behaviour.
+// CRC32 (IEEE, slice-by-8 table-driven) for DFS block and checkpoint
+// integrity. The simulated DFS checksums every block on write and verifies
+// on read so injected corruption surfaces as kDataLoss, mirroring HDFS
+// behaviour; the async engine checksums every checkpoint image it writes.
 #pragma once
 
 #include <cstdint>

@@ -1,25 +1,6 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <functional>
-
 namespace asyncmr::sim {
-
-namespace {
-// Calendar sizing policy. Buckets double when occupancy passes 2x and halve
-// below 1/4x (hysteresis so a stable population never thrashes); width is
-// recomputed at each rebuild from the live span so ~1 event lands per bucket
-// under a uniform spread. The width floor bounds time/width inside uint64
-// for any timestamp the queue has handled (max_time * 1e12 < 2^63), and
-// catches the all-events-at-one-instant case (span 0).
-constexpr size_t kCalendarMinBuckets = 16;
-
-size_t NextPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-}  // namespace
 
 bool EventQueue::Cancel(EventId id) {
   const uint64_t seq = SeqOf(id);
@@ -30,8 +11,9 @@ bool EventQueue::Cancel(EventId id) {
   const uint32_t slot = SlotOf(id);
   if (slot >= slab_.size()) return false;
   if (slab_[slot].seq != seq) return false;  // fired/cancelled/reused
-  // Free immediately — the slot is reusable right away; the orphaned heap
-  // or FIFO entry is discarded (stale seq) when it surfaces.
+  // A far event leaves the heap now; an immediate's FIFO entry is skipped
+  // (stale seq) when it surfaces. Either way the slot is reusable at once.
+  if (slab_[slot].heap_pos != kNotInHeap) HeapRemove(slab_[slot].heap_pos);
   FreeSlot(slot);
   --live_;
   return true;
@@ -42,173 +24,85 @@ EventId EventQueue::Reschedule(EventId id, SimTime at) {
   if (seq == 0) return 0;
   const uint32_t slot = SlotOf(id);
   if (slot >= slab_.size()) return 0;
-  if (slab_[slot].seq != seq) return 0;  // fired/cancelled/reused
+  Slot& s = slab_[slot];
+  if (s.seq != seq) return 0;  // fired/cancelled/reused
   AMR_CHECK(at >= now_) << "cannot reschedule into the past: at=" << at
                         << " now=" << now_;
   at += 0.0;  // normalize -0.0: key order must equal numeric order
   const uint64_t new_seq = next_seq_++;
-  AMR_CHECK(new_seq < (uint64_t{1} << (64 - kSlotBits))) << "event seq exhausted";
-  // Re-stamping the slot's seq invalidates the old heap/FIFO entry exactly
-  // like Cancel does; the callback stays where it is.
-  slab_[slot].seq = new_seq;
+  AMR_CHECK(new_seq < (uint64_t{1} << (64 - kSlotBits)))
+      << "event seq exhausted";
+  // Re-stamping the slot's seq invalidates the old id and any old FIFO
+  // entry; the callback stays where it is.
+  s.seq = new_seq;
   const EventId new_id = (new_seq << kSlotBits) | slot;
   const HeapKey key = MakeKey(at, new_id);
   if (at == now_) {
+    // Retimed to now: the event joins the immediate FIFO behind everything
+    // already there, exactly where a fresh Schedule would put it.
+    if (s.heap_pos != kNotInHeap) HeapRemove(s.heap_pos);
     immediate_.push_back(key);
+  } else if (s.heap_pos != kNotInHeap) {
+    HeapResift(s.heap_pos, key);
   } else {
-    PushFar(key);
+    HeapPush(key);  // was an immediate; its FIFO entry is now stale
   }
   return new_id;  // live_ unchanged: still one pending event
 }
 
-void EventQueue::PushFar(HeapKey key) {
-  if (mode_ == QueueMode::kCalendar) {
-    CalendarInsert(key);
+// --- indexed heap ------------------------------------------------------------
+
+void EventQueue::HeapPush(HeapKey key) {
+  heap_.push_back(key);
+  SiftUp(heap_.size() - 1, key);
+}
+
+void EventQueue::HeapResift(size_t pos, HeapKey key) {
+  if (pos > 0 && key < heap_[(pos - 1) / 2]) {
+    SiftUp(pos, key);
   } else {
-    heap_.push(key);
+    SiftDown(pos, key);
   }
 }
 
-bool EventQueue::FarPeek(HeapKey* key) {
-  if (mode_ == QueueMode::kCalendar) return CalendarPeek(key);
-  while (!heap_.empty() && IsStale(heap_.top())) heap_.pop();
-  if (heap_.empty()) return false;
-  *key = heap_.top();
-  return true;
+void EventQueue::HeapRemove(size_t pos) {
+  slab_[SlotOf(heap_[pos])].heap_pos = kNotInHeap;
+  const HeapKey last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) HeapResift(pos, last);
 }
 
-void EventQueue::FarPop(HeapKey key) {
-  if (mode_ == QueueMode::kCalendar) {
-    CalendarPop(key);
-  } else {
-    heap_.pop();
+void EventQueue::SiftUp(size_t pos, HeapKey key) {
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / 2;
+    if (!(key < heap_[parent])) break;
+    Place(pos, heap_[parent]);
+    pos = parent;
   }
+  Place(pos, key);
 }
 
-// --- calendar store ----------------------------------------------------------
-
-void EventQueue::CalendarInsert(HeapKey key) {
-  if (cal_buckets_.empty()) cal_buckets_.resize(kCalendarMinBuckets);
-  const SimTime t = TimeOf(key);
-  cal_max_time_ = std::max(cal_max_time_, t);
-  std::vector<HeapKey>& b = cal_buckets_[CalendarBucketIndex(t)];
-  b.insert(std::upper_bound(b.begin(), b.end(), key, std::greater<HeapKey>()),
-           key);
-  ++cal_size_;
-  // Fold into the min cache: the new key is live, so if it undercuts the
-  // cached minimum it becomes the minimum.
-  if (cal_min_valid_ && key < cal_min_) cal_min_ = key;
-  if (cal_size_ > 2 * cal_buckets_.size()) CalendarRebuild(kCalendarMinBuckets);
+void EventQueue::SiftDown(size_t pos, HeapKey key) {
+  const size_t n = heap_.size();
+  for (;;) {
+    size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+    if (!(heap_[child] < key)) break;
+    Place(pos, heap_[child]);
+    pos = child;
+  }
+  Place(pos, key);
 }
 
-bool EventQueue::CalendarPeek(HeapKey* key) {
-  if (cal_min_valid_ && !IsStale(cal_min_)) {
-    *key = cal_min_;
-    return true;
-  }
-  cal_min_valid_ = false;
-  if (cal_size_ == 0) return false;
-  const size_t n = cal_buckets_.size();
-  // Rotate from now_'s bucket: every stored live key is >= now_ (schedule-
-  // in-past is checked), so the first bucket whose minimum falls inside its
-  // current-year window holds the global minimum — equal times always share
-  // a bucket, so the tie-break never crosses buckets. Stale backs are purged
-  // as they surface; stale keys elsewhere in a bucket wait their turn.
-  uint64_t year = static_cast<uint64_t>(now_ / cal_width_);
-  SimTime top = static_cast<SimTime>(year + 1) * cal_width_;
-  size_t cur = static_cast<size_t>(year) & (n - 1);
-  for (size_t rot = 0; rot < n; ++rot) {
-    std::vector<HeapKey>& b = cal_buckets_[cur];
-    while (!b.empty() && IsStale(b.back())) {
-      b.pop_back();
-      AUDIT_CHECK(cal_size_ > 0) << "calendar occupancy underflow";
-      --cal_size_;
-    }
-    if (!b.empty() && TimeOf(b.back()) < top) {
-      cal_min_ = b.back();
-      cal_min_valid_ = true;
-      *key = cal_min_;
-      return true;
-    }
-    cur = (cur + 1) & (n - 1);
-    top += cal_width_;
-  }
-  // Direct search: everything left is at least a full rotation ahead of
-  // now_ (sparse far future). Take the min over bucket minima.
-  bool found = false;
-  HeapKey best = 0;
-  for (std::vector<HeapKey>& b : cal_buckets_) {
-    while (!b.empty() && IsStale(b.back())) {
-      b.pop_back();
-      AUDIT_CHECK(cal_size_ > 0) << "calendar occupancy underflow";
-      --cal_size_;
-    }
-    if (!b.empty() && (!found || b.back() < best)) {
-      best = b.back();
-      found = true;
-    }
-  }
-  if (!found) return false;
-  cal_min_ = best;
-  cal_min_valid_ = true;
-  *key = cal_min_;
-  return true;
-}
-
-void EventQueue::CalendarPop(HeapKey key) {
-  std::vector<HeapKey>& b = cal_buckets_[CalendarBucketIndex(TimeOf(key))];
-  // The popped key came from CalendarPeek, which purged stale backs of its
-  // bucket, so the bucket minimum must be exactly this key.
-  AUDIT_CHECK(!b.empty() && b.back() == key)
-      << "calendar popped a key that is not its bucket's minimum";
-  b.pop_back();
-  AUDIT_CHECK(cal_size_ > 0) << "calendar occupancy underflow";
-  --cal_size_;
-  cal_min_valid_ = false;
-  if (cal_buckets_.size() > kCalendarMinBuckets &&
-      cal_size_ < cal_buckets_.size() / 4) {
-    CalendarRebuild(kCalendarMinBuckets);
-  }
-}
-
-void EventQueue::CalendarRebuild(size_t min_buckets) {
-  // Occupancy contract: cal_size_ must equal the number of stored keys — a
-  // drifted counter means an insert/pop path double-counted or leaked.
-  size_t stored = 0;
-  for (const std::vector<HeapKey>& b : cal_buckets_) stored += b.size();
-  AUDIT_CHECK(stored == cal_size_)
-      << "calendar bucket occupancy diverged: counted " << stored
-      << " stored keys, occupancy counter says " << cal_size_;
-  std::vector<HeapKey> live;
-  live.reserve(cal_size_);
-  SimTime lo = 0.0, hi = 0.0;
-  for (std::vector<HeapKey>& b : cal_buckets_) {
-    for (HeapKey k : b) {
-      if (IsStale(k)) continue;
-      const SimTime t = TimeOf(k);
-      if (live.empty()) {
-        lo = hi = t;
-      } else {
-        lo = std::min(lo, t);
-        hi = std::max(hi, t);
-      }
-      live.push_back(k);
-    }
-    b.clear();
-  }
-  const size_t n = std::max(min_buckets, NextPow2(live.size()));
-  cal_buckets_.assign(n, {});
-  const double floor_w = std::max(1e-9, cal_max_time_ * 1e-12);
-  cal_width_ =
-      std::max(floor_w, (hi - lo) / static_cast<double>(std::max<size_t>(
-                            1, live.size())));
-  cal_size_ = 0;
-  cal_min_valid_ = false;
-  for (HeapKey k : live) {
-    std::vector<HeapKey>& b = cal_buckets_[CalendarBucketIndex(TimeOf(k))];
-    b.insert(std::upper_bound(b.begin(), b.end(), k, std::greater<HeapKey>()),
-             k);
-    ++cal_size_;
+void EventQueue::AuditHeapIndex() const {
+  for (size_t i = 0; i < heap_.size(); ++i) {
+    const HeapKey k = heap_[i];
+    AUDIT_CHECK(slab_[SlotOf(k)].heap_pos == i)
+        << "heap index diverged: key at position " << i << " belongs to slot "
+        << SlotOf(k) << ", which records position "
+        << slab_[SlotOf(k)].heap_pos;
+    AUDIT_CHECK(!IsStale(k)) << "heap holds a stale key at position " << i;
   }
 }
 
@@ -223,17 +117,16 @@ bool EventQueue::PeekEarliest(HeapKey* key, bool* from_far) {
     immediate_.clear();
     imm_head_ = 0;
   }
-  HeapKey far;
-  const bool have_far = FarPeek(&far);
+  const bool have_far = !heap_.empty();
   const bool have_imm = imm_head_ < immediate_.size();
   if (!have_imm && !have_far) return false;
   // Queued immediates all carry time == now_, which ties or beats every
   // far entry's time, so one key compare resolves the FIFO/seq order too.
-  if (have_imm && (!have_far || immediate_[imm_head_] < far)) {
+  if (have_imm && (!have_far || immediate_[imm_head_] < heap_[0])) {
     *key = immediate_[imm_head_];
     *from_far = false;
   } else {
-    *key = far;
+    *key = heap_[0];
     *from_far = true;
   }
   return true;
@@ -243,8 +136,11 @@ bool EventQueue::RunOne() {
   HeapKey e;
   bool from_far = false;
   if (!PeekEarliest(&e, &from_far)) return false;
+  // Heap-index contract, checked before the pop's sift can rewrite any
+  // position: the heap holds exactly the live far events, each indexed.
+  AMR_IF_AUDIT(AuditHeapIndex());
   if (from_far) {
-    FarPop(e);
+    HeapRemove(0);
   } else {
     ++imm_head_;
   }
@@ -256,7 +152,7 @@ bool EventQueue::RunOne() {
       << "event queue popped into the past: event t=" << TimeOf(e)
       << " now=" << now_;
   AUDIT_CHECK(slab_[SlotOf(e)].seq == SeqOf(e))
-      << "popped a stale heap key: slot " << SlotOf(e) << " holds seq "
+      << "popped a stale key: slot " << SlotOf(e) << " holds seq "
       << slab_[SlotOf(e)].seq << ", key carries " << SeqOf(e);
   // Move the callback out and free the slot before firing: the callback
   // may schedule (reusing this slot) or grow the slab reentrantly.

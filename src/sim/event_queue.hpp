@@ -9,42 +9,36 @@
 // Implementation: this is the hottest path in the whole simulator, so events
 // live in a slab of reusable slots with the callback stored inline (no
 // per-event std::function heap allocation for callables up to
-// EventFn::kInlineBytes) and the heap orders plain (time, seq, slot,
-// generation) tuples.
+// EventFn::kInlineBytes).
 // An EventId packs (sequence number << 24 | slot index); the slot records
 // the sequence number of the event it currently holds (0 = free), so the
 // never-reused sequence acts as a perfect generation: stale ids (fired or
-// cancelled events, reused slots) fail Cancel safely and stale heap entries
-// are skipped on pop — Schedule, Cancel and RunOne never touch a hash table,
-// and a cancelled slot is reusable immediately. Heap entries are single
-// 128-bit keys — the event time's IEEE bits (virtual time is never negative,
-// so bit order equals numeric order) above the packed id, whose sequence
-// number is the FIFO tie-break — making the sift one branchless compare per
-// level. Ids are never 0 (the network model uses 0 as a "no event"
-// sentinel).
+// cancelled events, reused slots) fail Cancel and Reschedule safely, and a
+// cancelled slot is reusable immediately. Ids are never 0 (the network model
+// uses 0 as a "no event" sentinel).
+//
+// Far-future events sit in an indexed binary heap of single 128-bit keys —
+// the event time's IEEE bits (virtual time is never negative, so bit order
+// equals numeric order) above the packed id, whose sequence number is the
+// FIFO tie-break — so each sift level is one unsigned compare. Every slot
+// records its key's heap position (kNotInHeap when it has none), so Cancel
+// removes the key in place and Reschedule rewrites it in place and sifts it
+// up or down: the heap holds exactly the live far events, never a stale
+// key. The fluid network retimes flow completions several times per event
+// (Reschedule), which is why the heap is indexed rather than lazily purged.
 //
 // Zero-delay events (slot grants, immediate continuations — a large share
 // of cluster traffic) skip the heap: events scheduled at exactly `now` go to
 // an O(1) FIFO whose entries provably all share time == now, so one key
-// compare against the heap top preserves the exact global firing order.
-//
-// Two far-future stores implement the same key order behind QueueMode:
-// kHeap (the default, a binary heap of keys — O(log n) sift per op) and
-// kCalendar (a calendar queue: keys hashed by time into width-sized buckets,
-// each bucket a small sorted vector — O(1) amortized insert/pop when event
-// times are spread, which the fluid-flow completion times are). The calendar
-// stores the *full* 128-bit keys and resolves minima by bucket rotation plus
-// a direct-search fallback, so its pop sequence is byte-identical to the
-// heap's — tests/test_sim.cpp pins that differentially on scripted churn,
-// tests/test_pagerank.cpp on a whole async run, and bucket occupancy carries
-// its own AUDIT_CHECK contract.
+// compare against the heap top preserves the exact global firing order. The
+// FIFO keeps lazy deletion: a cancelled or retimed immediate leaves its old
+// key behind, and the key's stale sequence number skips it at the front.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -151,21 +145,8 @@ class EventFn {
   }
 };
 
-/// Far-future event store selector. kHeap is the exact reference everything
-/// defaults to; kCalendar trades the heap sift for O(1) amortized bucket ops
-/// while popping the identical event sequence (same 128-bit key order).
-enum class QueueMode : uint8_t {
-  kHeap = 0,
-  kCalendar = 1,
-};
-
 class EventQueue {
  public:
-  EventQueue() = default;
-  explicit EventQueue(QueueMode mode) : mode_(mode) {}
-
-  QueueMode mode() const { return mode_; }
-
   /// Current virtual time.
   SimTime now() const { return now_; }
 
@@ -189,7 +170,7 @@ class EventQueue {
       // clock can advance), so the FIFO front is the immediates' minimum.
       immediate_.push_back(key);
     } else {
-      PushFar(key);
+      HeapPush(key);
     }
     ++live_;
     // Slot accounting contract: every slab slot is exactly one of {free,
@@ -211,14 +192,14 @@ class EventQueue {
   bool Cancel(EventId id);
 
   /// Moves a pending event to absolute time `at` (must be >= now) without
-  /// touching its callback: the slot is reused in place, so a retime costs
-  /// one heap push instead of Cancel + Schedule's slot free/alloc plus a
-  /// callback move. Ordering semantics are identical to Cancel + Schedule —
-  /// the event gets a fresh sequence number, so among equal timestamps it
-  /// fires after everything already scheduled. Returns the event's new id,
-  /// or 0 if `id` is stale (already fired or cancelled); the old id becomes
-  /// stale on success. This is the network rebalancer's bulk-retime path:
-  /// a fluid-model rate change rewrites many completion times per event.
+  /// touching its callback: the key is rewritten in place and sifted, so a
+  /// retime costs O(log n) compares and no slot free/alloc or callback move.
+  /// Ordering semantics are identical to Cancel + Schedule — the event gets
+  /// a fresh sequence number, so among equal timestamps it fires after
+  /// everything already scheduled. Returns the event's new id, or 0 if `id`
+  /// is stale (already fired or cancelled); the old id becomes stale on
+  /// success. This is the network rebalancer's bulk-retime path: a
+  /// fluid-model rate change rewrites many completion times per event.
   EventId Reschedule(EventId id, SimTime at);
 
   /// Fires the earliest pending event, advancing the clock to its timestamp.
@@ -241,12 +222,15 @@ class EventQueue {
   /// Test-only corruption hooks for the negative audit tests
   /// (tests/test_audit.cpp): force the clock ahead so a pending event
   /// violates pop monotonicity, leak a bogus free-list entry so the slot
-  /// accounting contract trips, or skew the calendar's occupancy counter so
-  /// the bucket-accounting contract trips at the next rebuild. Compiled only
-  /// under AMR_AUDIT.
+  /// accounting contract trips, or skew the heap root's recorded position so
+  /// the heap-index contract trips at the next pop. Compiled only under
+  /// AMR_AUDIT.
   void TestOnlySetNow(SimTime t) { now_ = t; }
   void TestOnlyLeakFreeSlot() { free_slots_.push_back(0); }
-  void TestOnlyCorruptCalendarOccupancy() { ++cal_size_; }
+  void TestOnlyCorruptHeapPos() {
+    AMR_CHECK(!heap_.empty());
+    ++slab_[SlotOf(heap_[0])].heap_pos;
+  }
 #endif
 
  private:
@@ -254,13 +238,17 @@ class EventQueue {
   /// number: 16M concurrent events, ~1.1e12 events per queue lifetime.
   static constexpr uint32_t kSlotBits = 24;
   static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+  static constexpr uint32_t kNotInHeap = UINT32_MAX;
 
   struct Slot {
     // Sequence number of the event this slot currently holds; 0 = free.
     // Never reused, so it doubles as a perfect generation: stale ids fail
-    // Cancel, stale heap entries are discarded on pop. First so staleness
-    // probes touch the line's head.
+    // Cancel, stale FIFO entries are skipped at the front. First so
+    // staleness probes touch the line's head.
     uint64_t seq = 0;
+    // Index of this event's key in heap_, or kNotInHeap (free slot, or an
+    // event queued on the immediate FIFO). Fills the padding before fn.
+    uint32_t heap_pos = kNotInHeap;
     EventFn fn;
   };
 
@@ -297,58 +285,49 @@ class EventQueue {
 
   void FreeSlot(uint32_t slot) {
     Slot& s = slab_[slot];
+    // Heap-index contract: a slot leaves the heap before it is freed, or
+    // a later sift would move a key that no longer owns its slot.
+    AUDIT_CHECK(s.heap_pos == kNotInHeap)
+        << "freed slot " << slot << " is still indexed at heap position "
+        << s.heap_pos;
     s.fn.Reset();
-    s.seq = 0;  // invalidate the id and any heap entry for this event
+    s.seq = 0;  // invalidate the id and any FIFO entry for this event
     free_slots_.push_back(slot);
   }
 
-  /// Earliest live key across the immediate FIFO and the far store; stale
-  /// (cancelled) entries are discarded along the way. Returns false when no
-  /// live event remains. On true, *key/*from_far say where to pop from.
+  /// Earliest live key across the immediate FIFO and the heap; stale
+  /// (cancelled or retimed) FIFO entries are discarded along the way.
+  /// Returns false when no live event remains. On true, *key/*from_far say
+  /// where to pop from.
   bool PeekEarliest(HeapKey* key, bool* from_far);
 
-  // --- far-future store (mode-dispatched) ------------------------------------
-  void PushFar(HeapKey key);
-  /// Earliest live far key after lazy stale purge; false when none remain.
-  bool FarPeek(HeapKey* key);
-  /// Pops the key the immediately preceding FarPeek returned.
-  void FarPop(HeapKey key);
-
-  // --- calendar store --------------------------------------------------------
-  // Buckets hold full keys sorted DESCENDING so the bucket minimum pops from
-  // the back in O(1). Bucket index is floor(time / width) mod nbuckets; the
-  // width floor keeps time / width inside uint64 range for any time the
-  // queue has seen. cal_size_ counts stored keys (live + not-yet-purged
-  // stale) and is the occupancy contract checked at every rebuild.
-  size_t CalendarBucketIndex(SimTime t) const {
-    return static_cast<size_t>(static_cast<uint64_t>(t / cal_width_)) &
-           (cal_buckets_.size() - 1);
+  // --- indexed heap ----------------------------------------------------------
+  // Every write of a key into heap_ goes through Place, which records the
+  // key's position in its slot; the sifts move a hole instead of swapping.
+  void Place(size_t pos, HeapKey key) {
+    heap_[pos] = key;
+    slab_[SlotOf(key)].heap_pos = static_cast<uint32_t>(pos);
   }
-  void CalendarInsert(HeapKey key);
-  bool CalendarPeek(HeapKey* key);  // maintains cal_min_ cache
-  void CalendarPop(HeapKey key);
-  void CalendarRebuild(size_t min_buckets);
+  void HeapPush(HeapKey key);
+  /// Seats `key` at `pos` (replacing whatever was there) and restores the
+  /// heap order by sifting it up or down.
+  void HeapResift(size_t pos, HeapKey key);
+  /// Removes the key at `pos`; its slot's heap_pos becomes kNotInHeap.
+  void HeapRemove(size_t pos);
+  void SiftUp(size_t pos, HeapKey key);
+  void SiftDown(size_t pos, HeapKey key);
+  /// AUDIT: every heap key is live and its slot points back at it.
+  void AuditHeapIndex() const;
 
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 1;
   uint64_t fired_ = 0;
   size_t live_ = 0;
-  QueueMode mode_ = QueueMode::kHeap;
-  std::priority_queue<HeapKey, std::vector<HeapKey>, std::greater<>> heap_;
+  std::vector<HeapKey> heap_;       // min-heap of live far events only
   std::vector<HeapKey> immediate_;  // all at time == now_; FIFO via imm_head_
   size_t imm_head_ = 0;
   std::vector<Slot> slab_;
   std::vector<uint32_t> free_slots_;
-
-  // Calendar state (used only in kCalendar mode). cal_min_ caches the result
-  // of the last bucket scan: it is <= every stored key (inserts fold in), so
-  // while it stays live it IS the minimum and repeated peeks are O(1).
-  std::vector<std::vector<HeapKey>> cal_buckets_;
-  double cal_width_ = 1.0;
-  size_t cal_size_ = 0;
-  double cal_max_time_ = 0.0;  // for the width floor at rebuild
-  HeapKey cal_min_ = 0;
-  bool cal_min_valid_ = false;
 };
 
 }  // namespace asyncmr::sim

@@ -5,6 +5,8 @@
 // Debug jobs build with -DAMR_AUDIT=ON, where every family must fire.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "async/checkpoint.hpp"
 #include "async/progress.hpp"
 #include "async/state_store.hpp"
@@ -57,44 +59,43 @@ TEST(AuditEventQueueDeathTest, SlotAccountingTrips) {
       "slot accounting diverged");
 }
 
-TEST(AuditEventQueueDeathTest, CalendarPopIntoThePastTrips) {
+TEST(AuditEventQueueDeathTest, HeapIndexTrips) {
   SKIP_WITHOUT_AUDIT();
-  // The pop-monotonicity contract holds in calendar mode too: the rotation
-  // scan / direct-search fallback must never surface a key below now_.
+  // Heap-index contract: every heap key's slot records the key's position.
+  // Skew the root's recorded position; the next pop must catch it before
+  // its sift rewrites the positions.
   EXPECT_DEATH(
       {
-        asyncmr::sim::EventQueue q(asyncmr::sim::QueueMode::kCalendar);
-        q.Schedule(1.0, [] {});
-        q.TestOnlySetNow(5.0);  // pending event is now in the past
+        asyncmr::sim::EventQueue q;
+        for (int i = 0; i < 5; ++i) q.Schedule(1.0 + i, [] {});
+        q.TestOnlyCorruptHeapPos();
         q.RunOne();
       },
-      "popped into the past");
+      "heap index diverged");
 }
 
-TEST(AuditEventQueueDeathTest, CalendarOccupancyTrips) {
-  SKIP_WITHOUT_AUDIT();
-  // Bucket-occupancy accounting: the sum of stored keys must equal the
-  // cal_size_ counter at every rebuild. Corrupt the counter, then insert
-  // past the grow threshold (2 x 16 initial buckets) to force one.
-  EXPECT_DEATH(
-      {
-        asyncmr::sim::EventQueue q(asyncmr::sim::QueueMode::kCalendar);
-        q.TestOnlyCorruptCalendarOccupancy();
-        for (int i = 0; i < 40; ++i) {
-          q.Schedule(1.0 + i, [] {});
-        }
-      },
-      "calendar bucket occupancy diverged");
-}
-
-TEST(AuditEventQueue, CleanCalendarRunDoesNotTrip) {
-  // Positive twin: a calendar queue run through grow, drain, and shrink
-  // rebuilds with the audit contracts armed sails through.
-  asyncmr::sim::EventQueue q(asyncmr::sim::QueueMode::kCalendar);
+TEST(AuditEventQueue, CleanHeapChurnDoesNotTrip) {
+  // Positive twin: pushes, in-place retimes in both directions, retimes to
+  // and from the immediate FIFO, and cancels of root, inner and last keys,
+  // all with the heap-index contract checked at every pop.
+  asyncmr::sim::EventQueue q;
   uint64_t fired = 0;
-  for (int i = 0; i < 200; ++i) q.Schedule(1.0 + i * 0.25, [&fired] { ++fired; });
+  std::vector<asyncmr::sim::EventId> ids;
+  for (int i = 0; i < 200; ++i) {
+    ids.push_back(q.Schedule(1.0 + i * 0.25, [&fired] { ++fired; }));
+  }
+  for (int i = 0; i < 200; i += 3) {
+    ids[i] = q.Reschedule(ids[i], 60.0 - i * 0.1);
+  }
+  ids[1] = q.Reschedule(ids[1], 0.0);          // far -> immediate
+  ids[1] = q.Reschedule(ids[1], 2.0);          // immediate -> far
+  EXPECT_TRUE(q.Cancel(ids[0]));               // among the latest keys
+  EXPECT_TRUE(q.Cancel(ids[2]));               // the root
+  EXPECT_TRUE(q.Cancel(ids[199]));             // a late key
+  q.RunUntil(20.0);
+  for (int i = 100; i < 200; i += 5) EXPECT_TRUE(q.Cancel(ids[i]));
   q.RunUntilEmpty();
-  EXPECT_EQ(fired, 200u);
+  EXPECT_EQ(fired, 200u - 3u - 20u);
 }
 
 #endif  // AMR_AUDIT

@@ -230,96 +230,5 @@ TEST(PageRank, DeterministicAcrossRuns) {
   EXPECT_EQ(MaxDiff(a.ranks, b.ranks), 0.0);
 }
 
-// --- calendar queue vs heap on a whole async run -----------------------------
-
-void ExpectWorkerStatsIdentical(const async::WorkerStats& a,
-                                const async::WorkerStats& b) {
-#define AMR_EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << #field
-  AMR_EXPECT_SAME(iterations);
-  AMR_EXPECT_SAME(ops);
-  AMR_EXPECT_SAME(merge_ops);
-  AMR_EXPECT_SAME(batches_sent);
-  AMR_EXPECT_SAME(batches_received);
-  AMR_EXPECT_SAME(records_sent);
-  AMR_EXPECT_SAME(coalesced_batches);
-  AMR_EXPECT_SAME(coalesced_bytes_saved);
-  AMR_EXPECT_SAME(restarts);
-  AMR_EXPECT_SAME(flow_drops);
-  AMR_EXPECT_SAME(batch_retries);
-  AMR_EXPECT_SAME(retry_backoff_seconds);
-  AMR_EXPECT_SAME(batches_abandoned);
-  AMR_EXPECT_SAME(checkpoints);
-  AMR_EXPECT_SAME(checkpoint_bytes);
-  AMR_EXPECT_SAME(last_residual);
-  AMR_EXPECT_SAME(residual_known);
-#undef AMR_EXPECT_SAME
-}
-
-// Field-by-field EXACT equality (doubles compared with ==): the calendar
-// queue promises bit-identity, not approximation.
-void ExpectResultsIdentical(const async::AsyncResult& a,
-                            const async::AsyncResult& b) {
-#define AMR_EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << #field
-  AMR_EXPECT_SAME(converged);
-  AMR_EXPECT_SAME(start_seconds);
-  AMR_EXPECT_SAME(end_seconds);
-  AMR_EXPECT_SAME(total_iterations);
-  AMR_EXPECT_SAME(total_ops);
-  AMR_EXPECT_SAME(total_merge_ops);
-  AMR_EXPECT_SAME(update_batches);
-  AMR_EXPECT_SAME(update_records);
-  AMR_EXPECT_SAME(bytes_sent);
-  AMR_EXPECT_SAME(coalesced_batches);
-  AMR_EXPECT_SAME(coalesced_bytes_saved);
-  AMR_EXPECT_SAME(token_circuits);
-  AMR_EXPECT_SAME(worker_restarts);
-  AMR_EXPECT_SAME(checkpoints_written);
-  AMR_EXPECT_SAME(checkpoint_bytes);
-  AMR_EXPECT_SAME(checkpoint_write_seconds);
-  AMR_EXPECT_SAME(recovery_seconds);
-  AMR_EXPECT_SAME(flow_drops);
-  AMR_EXPECT_SAME(batch_retries);
-  AMR_EXPECT_SAME(retry_backoff_seconds);
-  AMR_EXPECT_SAME(batches_abandoned);
-  AMR_EXPECT_SAME(peers_suspected);
-  AMR_EXPECT_SAME(partition_heal_reannouncements);
-  AMR_EXPECT_SAME(checkpoint_corruptions_detected);
-  AMR_EXPECT_SAME(final_residual);
-  AMR_EXPECT_SAME(residual_known);
-  AMR_EXPECT_SAME(staleness_samples);
-  AMR_EXPECT_SAME(staleness_p50);
-  AMR_EXPECT_SAME(staleness_p95);
-  AMR_EXPECT_SAME(staleness_min);
-  AMR_EXPECT_SAME(staleness_max);
-#undef AMR_EXPECT_SAME
-  ASSERT_EQ(a.workers.size(), b.workers.size());
-  for (size_t i = 0; i < a.workers.size(); ++i) {
-    SCOPED_TRACE(testing::Message() << "worker " << i);
-    ExpectWorkerStatsIdentical(a.workers[i], b.workers[i]);
-  }
-}
-
-TEST(AsyncPageRank, CalendarQueueBitIdenticalToHeap) {
-  // Deliberately the noisy spec: stragglers and jitter draw from the shared
-  // cluster RNG in event order, so any divergence in the calendar's pop
-  // sequence would also shift the draws and show up in every field below.
-  const auto g = TestGraph(1200, 7);
-  const auto part = graph::MultilevelPartition(g, 8);
-  auto run = [&](sim::QueueMode mode, async::AsyncResult* stats) {
-    auto spec = cluster::ClusterSpec::Ec2Large8();
-    spec.queue_mode = mode;
-    cluster::SimCluster sim(spec);
-    return AsyncPageRank(sim, g, part, PageRankConfig{},
-                         async::kUnboundedStaleness, stats);
-  };
-  async::AsyncResult heap_stats, cal_stats;
-  const auto heap = run(sim::QueueMode::kHeap, &heap_stats);
-  const auto cal = run(sim::QueueMode::kCalendar, &cal_stats);
-  EXPECT_TRUE(heap.converged);
-  EXPECT_EQ(heap.ranks, cal.ranks);
-  EXPECT_EQ(heap.converged, cal.converged);
-  ExpectResultsIdentical(heap_stats, cal_stats);
-}
-
 }  // namespace
 }  // namespace asyncmr::apps

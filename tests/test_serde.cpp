@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -242,6 +243,44 @@ TEST(Crc32, DetectsBitFlip) {
 
 TEST(Crc32, EmptyInput) {
   EXPECT_EQ(Crc32({}), 0u);
+}
+
+// Bytewise reference: the polynomial applied one bit at a time, no tables.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Random lengths 0-4096 at misaligned starts cover the 8-byte main loop,
+  // every tail length and unaligned loads; seeds cover chained calls.
+  Rng rng(2024);
+  std::vector<uint8_t> data(4096 + 16);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Next());
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t offset = rng.NextBounded(16);
+    const size_t len = trial < 20 ? trial : rng.NextBounded(4097);
+    const uint32_t seed =
+        trial % 3 == 0 ? 0u : static_cast<uint32_t>(rng.Next());
+    SCOPED_TRACE(testing::Message() << "offset " << offset << " len " << len);
+    EXPECT_EQ(Crc32({data.data() + offset, len}, seed),
+              BitwiseCrc32(data.data() + offset, len, seed));
+  }
+}
+
+TEST(Crc32, ChainedCallsEqualOneCall) {
+  std::vector<uint8_t> data(1000);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 37);
+  }
+  const std::span<const uint8_t> all(data);
+  for (size_t cut : {0u, 1u, 7u, 8u, 9u, 500u, 999u, 1000u}) {
+    EXPECT_EQ(Crc32(all.subspan(cut), Crc32(all.first(cut))), Crc32(all));
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -380,101 +381,278 @@ TEST(EventQueue, RescheduleToNowUsesImmediatePath) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-// --- calendar queue vs heap (QueueMode differential) -------------------------
+// --- differential test against a brute-force reference -----------------------
 //
-// kCalendar must pop the byte-identical event sequence kHeap does: identical
-// scripted workloads produce identical (time, tag) firing traces through
-// Cancel, Reschedule, the zero-delay FIFO, and the pathological
-// everything-in-one-bucket distribution.
+// ReferenceQueue is the queue contract with none of the machinery: a sorted
+// map of live (time, seq) pairs to callbacks. It fires in (time, seq) order,
+// a retime takes a fresh seq (Cancel + Schedule semantics), and stale ids
+// fail Cancel/Reschedule. EventQueue — slab, indexed heap, immediate FIFO —
+// must fire the byte-identical trace on every script.
 
 using Trace = std::vector<std::pair<double, int>>;
 
+class ReferenceQueue {
+ public:
+  double now() const { return now_; }
+  size_t pending() const { return live_.size(); }
+
+  uint64_t Schedule(double at, std::function<void()> fn) {
+    EXPECT_GE(at, now_);
+    const uint64_t seq = next_seq_++;
+    live_.emplace(std::make_pair(at, seq), std::move(fn));
+    time_of_.emplace(seq, at);
+    return seq;
+  }
+  uint64_t ScheduleAfter(double delay, std::function<void()> fn) {
+    return Schedule(now_ + delay, std::move(fn));
+  }
+  bool Cancel(uint64_t id) {
+    const auto it = time_of_.find(id);
+    if (it == time_of_.end()) return false;
+    live_.erase({it->second, id});
+    time_of_.erase(it);
+    return true;
+  }
+  uint64_t Reschedule(uint64_t id, double at) {
+    const auto it = time_of_.find(id);
+    if (it == time_of_.end()) return 0;
+    EXPECT_GE(at, now_);
+    auto node = live_.extract({it->second, id});
+    time_of_.erase(it);
+    const uint64_t seq = next_seq_++;
+    node.key() = {at, seq};
+    live_.insert(std::move(node));
+    time_of_.emplace(seq, at);
+    return seq;
+  }
+  bool RunOne() {
+    if (live_.empty()) return false;
+    auto node = live_.extract(live_.begin());
+    time_of_.erase(node.key().second);
+    now_ = node.key().first;
+    node.mapped()();
+    return true;
+  }
+  void RunUntilEmpty() {
+    while (RunOne()) {
+    }
+  }
+
+ private:
+  double now_ = 0.0;
+  uint64_t next_seq_ = 1;
+  std::map<std::pair<double, uint64_t>, std::function<void()>> live_;
+  std::map<uint64_t, double> time_of_;
+};
+
+// Runs one script (a generic lambda taking the queue and the trace) on both
+// queues and returns EventQueue's trace after checking they agree.
+template <typename Script>
+Trace ExpectMatchesReference(Script script) {
+  Trace got, want;
+  {
+    EventQueue q;
+    script(q, got);
+    EXPECT_EQ(q.pending(), 0u);
+  }
+  {
+    ReferenceQueue q;
+    script(q, want);
+  }
+  EXPECT_EQ(got, want);
+  return got;
+}
+
+// Callback that appends (now, tag) to the trace when it fires.
+template <typename Queue>
+auto Record(Queue& q, Trace& trace, int tag) {
+  return [&q, &trace, tag] { trace.emplace_back(q.now(), tag); };
+}
+
 // A self-driving churn workload exercising every queue operation the
 // simulation uses: far inserts at mixed horizons, zero-delay immediates,
-// Cancel and Reschedule. All randomness comes from a fixed Rng seed, so both
-// modes execute the same op script as long as their firing orders agree —
-// any divergence shows up in the recorded trace.
-Trace RunChurnScript(QueueMode mode) {
-  EventQueue q(mode);
-  Trace trace;
-  Rng rng(123);
-  std::vector<EventId> open;
+// Cancel and Reschedule — including a far event retimed to now and an
+// immediate retimed into the future, then sometimes cancelled. All
+// randomness comes from a fixed Rng seed, so both queues execute the same op
+// script as long as their firing orders agree — any divergence shows up in
+// the recorded trace, as does any pending() disagreement (negative tags).
+template <typename Queue>
+void RunChurnScript(Queue& q, Trace& trace, uint64_t seed, int max_rounds) {
+  Rng rng(seed);
+  std::vector<uint64_t> open;  // far ids; some go stale as events fire
   int tag = 0;
   int rounds = 0;
   std::function<void()> driver = [&] {
-    // A burst of future events spanning several calendar bucket widths.
+    trace.emplace_back(q.now(), -static_cast<int>(q.pending()));
     for (int i = 0; i < 6; ++i) {
-      const int t = tag++;
       open.push_back(q.Schedule(q.now() + rng.NextDouble(0.0, 12.0),
-                                [&trace, &q, t] { trace.emplace_back(q.now(), t); }));
+                                Record(q, trace, tag++)));
     }
-    // Zero-delay events ride the immediate FIFO.
+    std::vector<uint64_t> imm;
     for (int i = 0; i < 2; ++i) {
-      const int t = tag++;
-      q.ScheduleAfter(0.0, [&trace, &q, t] { trace.emplace_back(q.now(), t); });
+      imm.push_back(q.ScheduleAfter(0.0, Record(q, trace, tag++)));
     }
     // Cancel/reschedule churn over the open set (ids may already be stale —
-    // both modes must agree on the outcome either way).
+    // both queues must agree on the outcome either way).
     if (open.size() > 8) {
       q.Cancel(open[open.size() / 2]);
-      const EventId nid = q.Reschedule(open[open.size() / 3],
-                                       q.now() + rng.NextDouble(0.0, 6.0));
+      const uint64_t nid = q.Reschedule(open[open.size() / 3],
+                                        q.now() + rng.NextDouble(0.0, 6.0));
       if (nid != 0) open[open.size() / 3] = nid;
+      const size_t k = rng.NextBounded(open.size());
+      if (const uint64_t now_id = q.Reschedule(open[k], q.now()); now_id != 0) {
+        open[k] = now_id;
+      }
+      const uint64_t fut =
+          q.Reschedule(imm[0], q.now() + rng.NextDouble(0.0, 3.0));
+      EXPECT_NE(fut, 0u);
+      if (rng.NextBool(0.3)) {
+        EXPECT_TRUE(q.Cancel(fut));
+      } else {
+        open.push_back(fut);
+      }
     }
-    if (++rounds < 60) q.ScheduleAfter(rng.NextDouble(0.01, 1.5), driver);
+    if (++rounds < max_rounds) {
+      q.ScheduleAfter(rng.NextDouble(0.01, 1.5), driver);
+    }
   };
   q.ScheduleAfter(0.0, driver);
   q.RunUntilEmpty();
-  EXPECT_EQ(q.pending(), 0u);
-  return trace;
 }
 
-TEST(CalendarQueue, ChurnScriptMatchesHeapByteForByte) {
-  const Trace heap = RunChurnScript(QueueMode::kHeap);
-  const Trace cal = RunChurnScript(QueueMode::kCalendar);
-  ASSERT_EQ(heap.size(), cal.size());
-  EXPECT_EQ(heap, cal);
+TEST(EventQueueDifferential, ChurnScriptMatchesReference) {
+  for (uint64_t seed : {123u, 1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const Trace t = ExpectMatchesReference(
+        [seed](auto& q, Trace& trace) { RunChurnScript(q, trace, seed, 60); });
+    EXPECT_GT(t.size(), 400u);
+  }
 }
 
-TEST(CalendarQueue, OneBucketPileupKeepsFifoOrder) {
-  // Pathological distribution: every event at the same timestamp lands in a
-  // single calendar bucket. The sorted-bucket insert degrades to O(n) per op
-  // but the FIFO tie-break must survive, including interleaved cancels.
-  auto run = [](QueueMode mode) {
-    EventQueue q(mode);
-    std::vector<int> order;
-    std::vector<EventId> ids;
+TEST(EventQueueDifferential, LongChurnScriptMatchesReference) {
+  // More rounds than events fire per round, so the heap grows deep enough
+  // that retimes sift across many levels.
+  const Trace t = ExpectMatchesReference(
+      [](auto& q, Trace& trace) { RunChurnScript(q, trace, 99, 2000); });
+  EXPECT_GT(t.size(), 14000u);
+}
+
+TEST(EventQueueDifferential, RetimeFarEventToNow) {
+  const Trace t = ExpectMatchesReference([](auto& q, Trace& trace) {
+    q.Schedule(1.0, [&q, &trace] {
+      const uint64_t root = q.Schedule(3.0, Record(q, trace, 1));
+      const uint64_t leaf = q.Schedule(5.0, Record(q, trace, 2));
+      q.Schedule(4.0, Record(q, trace, 3));
+      q.ScheduleAfter(0.0, Record(q, trace, 4));
+      // Both leave the heap for the FIFO, behind the immediate already there.
+      EXPECT_NE(q.Reschedule(leaf, q.now()), 0u);
+      EXPECT_NE(q.Reschedule(root, q.now()), 0u);
+      EXPECT_EQ(q.pending(), 4u);
+    });
+    q.RunUntilEmpty();
+  });
+  EXPECT_EQ(t, (Trace{{1.0, 4}, {1.0, 2}, {1.0, 1}, {4.0, 3}}));
+}
+
+TEST(EventQueueDifferential, RetimeImmediateIntoFuture) {
+  const Trace t = ExpectMatchesReference([](auto& q, Trace& trace) {
+    q.Schedule(1.0, [&q, &trace] {
+      q.Schedule(2.0, Record(q, trace, 1));
+      const uint64_t a = q.ScheduleAfter(0.0, Record(q, trace, 2));
+      q.ScheduleAfter(0.0, Record(q, trace, 3));
+      // The FIFO keeps a stale entry for `a`; it must be skipped, and `a`
+      // fires at 2.0 after the event already scheduled there.
+      const uint64_t a2 = q.Reschedule(a, 2.0);
+      EXPECT_NE(a2, 0u);
+      // Back to now: a fresh FIFO entry behind 3, from the heap this time.
+      EXPECT_NE(q.Reschedule(q.Reschedule(a2, 1.5), 1.0), 0u);
+      const uint64_t b = q.ScheduleAfter(0.0, Record(q, trace, 4));
+      EXPECT_NE(q.Reschedule(b, 3.0), 0u);
+      EXPECT_EQ(q.pending(), 4u);
+    });
+    q.RunUntilEmpty();
+  });
+  EXPECT_EQ(t, (Trace{{1.0, 3}, {1.0, 2}, {2.0, 1}, {3.0, 4}}));
+}
+
+TEST(EventQueueDifferential, CancelAfterRetime) {
+  const Trace t = ExpectMatchesReference([](auto& q, Trace& trace) {
+    const uint64_t a = q.Schedule(5.0, Record(q, trace, 1));
+    const uint64_t b = q.Schedule(6.0, Record(q, trace, 2));
+    q.Schedule(7.0, Record(q, trace, 3));
+    const uint64_t a2 = q.Reschedule(a, 2.0);
+    EXPECT_FALSE(q.Cancel(a));  // the retime retired the old id
+    EXPECT_TRUE(q.Cancel(a2));
+    EXPECT_FALSE(q.Cancel(a2));
+    q.Schedule(1.0, [&q, b] {
+      // Far -> now -> cancelled: the FIFO entry must be skipped.
+      EXPECT_TRUE(q.Cancel(q.Reschedule(b, q.now())));
+    });
+    EXPECT_EQ(q.pending(), 3u);
+    q.RunUntilEmpty();
+  });
+  EXPECT_EQ(t, (Trace{{7.0, 3}}));
+}
+
+TEST(EventQueueDifferential, CancelRootAndLastElement) {
+  const Trace t = ExpectMatchesReference([](auto& q, Trace& trace) {
+    // Ascending pushes leave the heap array sorted: the root holds t=1 and
+    // the last slot t=8.
+    std::vector<uint64_t> ids;
+    for (int i = 1; i <= 8; ++i) {
+      ids.push_back(q.Schedule(i, Record(q, trace, i)));
+    }
+    EXPECT_TRUE(q.Cancel(ids.back()));
+    EXPECT_TRUE(q.Cancel(ids.front()));  // t=7 moves up from the last slot
+    q.RunOne();                          // fires t=2, the new root
+    // The array is now [3, 4, 6, 7, 5]: cancel the last slot (t=5), then
+    // the root (t=3).
+    EXPECT_TRUE(q.Cancel(ids[4]));
+    EXPECT_TRUE(q.Cancel(ids[2]));
+    EXPECT_EQ(q.pending(), 3u);
+    q.RunUntilEmpty();
+    // A lone event is both root and last element.
+    const uint64_t only = q.Schedule(q.now() + 1.0, Record(q, trace, 99));
+    EXPECT_TRUE(q.Cancel(only));
+    EXPECT_EQ(q.pending(), 0u);
+    q.RunUntilEmpty();
+  });
+  EXPECT_EQ(t, (Trace{{2.0, 2}, {4.0, 4}, {6.0, 6}, {7.0, 7}}));
+}
+
+TEST(EventQueueDifferential, RetimeEarlierAndLater) {
+  const Trace t = ExpectMatchesReference([](auto& q, Trace& trace) {
+    std::vector<uint64_t> ids;
+    for (int i = 1; i <= 15; ++i) {
+      ids.push_back(q.Schedule(10.0 * i, Record(q, trace, i)));
+    }
+    EXPECT_NE(q.Reschedule(ids[11], 5.0), 0u);    // leaf -> root (sift up)
+    EXPECT_NE(q.Reschedule(ids[0], 200.0), 0u);   // root -> leaf (sift down)
+    EXPECT_NE(q.Reschedule(ids[4], 35.0), 0u);    // inner, a little earlier
+    EXPECT_NE(q.Reschedule(ids[2], 95.0), 0u);    // inner, later
+    EXPECT_NE(q.Reschedule(ids[6], 70.0), 0u);    // same time, fresh seq
+    EXPECT_EQ(q.pending(), 15u);
+    q.RunUntilEmpty();
+  });
+  std::vector<int> order;
+  for (const auto& [time, tag] : t) order.push_back(tag);
+  EXPECT_EQ(order, (std::vector<int>{12, 2, 5, 4, 6, 7, 8, 9, 3, 10, 11, 13,
+                                     14, 15, 1}));
+}
+
+TEST(EventQueueDifferential, EqualTimePileupKeepsFifoOrder) {
+  // Every event at one timestamp: the heap order is decided by seq alone,
+  // including interleaved cancels and same-time retimes.
+  const Trace t = ExpectMatchesReference([](auto& q, Trace& trace) {
+    std::vector<uint64_t> ids;
     for (int i = 0; i < 2000; ++i) {
-      ids.push_back(q.Schedule(7.0, [&order, i] { order.push_back(i); }));
+      ids.push_back(q.Schedule(7.0, Record(q, trace, i)));
     }
     for (int i = 0; i < 2000; i += 7) q.Cancel(ids[i]);
+    for (int i = 3; i < 2000; i += 11) q.Reschedule(ids[i], 7.0);
     q.RunUntilEmpty();
-    return order;
-  };
-  EXPECT_EQ(run(QueueMode::kHeap), run(QueueMode::kCalendar));
-}
-
-TEST(CalendarQueue, WidthResizeCyclesPreserveOrder) {
-  // Drain-while-inserting across horizons that force the calendar through
-  // grow and shrink rebuilds; interleave wide and dense timestamp regimes so
-  // the width recomputation actually changes.
-  auto run = [](QueueMode mode) {
-    EventQueue q(mode);
-    Trace trace;
-    for (int i = 0; i < 300; ++i) {
-      const double at = (i % 3 == 0) ? i * 1000.0 : 1.0 + i * 1e-6;
-      q.Schedule(at, [&trace, &q, i] { trace.emplace_back(q.now(), i); });
-    }
-    // Drain halfway, then refill densely to trigger a shrink then a grow.
-    for (int i = 0; i < 150; ++i) q.RunOne();
-    for (int i = 300; i < 700; ++i) {
-      q.Schedule(q.now() + 1e-3 + i * 1e-7,
-                 [&trace, &q, i] { trace.emplace_back(q.now(), i); });
-    }
-    q.RunUntilEmpty();
-    return trace;
-  };
-  EXPECT_EQ(run(QueueMode::kHeap), run(QueueMode::kCalendar));
+  });
+  EXPECT_EQ(t.size(), 2000u - 286u);
 }
 
 }  // namespace
